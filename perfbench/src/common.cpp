@@ -159,10 +159,22 @@ Span::Span(const char* name, std::uint64_t request) : on_(tracer::enabled()) {
   rec_.start_ns = now_ns();
 }
 
+Span::Span(const char* name, std::uint64_t request, const Span* parent)
+    : on_(tracer::enabled()), nested_(false) {
+  if (!on_) return;
+  if (t_tid == 0) t_tid = g_next_tid.fetch_add(1);
+  rec_.name = name;
+  rec_.id = g_next_id.fetch_add(1);
+  rec_.parent = parent ? parent->rec_.id : 0;
+  rec_.request = request;
+  rec_.tid = t_tid;
+  rec_.start_ns = now_ns();
+}
+
 Span::~Span() {
   if (!on_) return;
   rec_.end_ns = now_ns();
-  t_open = rec_.parent;
+  if (nested_) t_open = rec_.parent;
   std::lock_guard lock(g_mutex);
   g_spans.push_back(std::move(rec_));
 }

@@ -70,40 +70,41 @@ T must(pp::Result<T> r, const std::string& what) {
 
 [[nodiscard]] double mean(const std::vector<double>& v);
 [[nodiscard]] double median(std::vector<double> v);
-/// Nearest-rank percentile, p in (0, 1].
+/// Nearest-rank percentile, p in [0, 1] (0: the smallest value).
 [[nodiscard]] double percentile(std::vector<double> v, double p);
 
-/// Job latencies of a closed-loop window, cut into one-second blocks by
-/// completion time.  Throughput and p50 are medians over whole blocks, so a
-/// burst of host noise moves one block rather than the run; p99 is taken in
-/// the quietest block, because host preemption bursts set the tail of
-/// sub-millisecond jobs far more than the code does.
+/// Job latencies of a closed-loop window, cut into blocks (one second by
+/// default) by completion time.  Throughput and p50 are medians over whole
+/// blocks, so a burst of host noise moves one block rather than the run; p99
+/// is taken in the quietest block, because host preemption bursts set the
+/// tail of sub-millisecond jobs far more than the code does.
 struct BlockWindow {
-  static constexpr double kBlockS = 1.0;
+  double block_s;
   std::vector<std::vector<double>> blocks;  ///< per block: latencies, ms
 
-  explicit BlockWindow(double seconds)
-      : blocks(std::max<std::size_t>(1, static_cast<std::size_t>(seconds / kBlockS))) {}
+  explicit BlockWindow(double seconds, double block_s = 1.0)
+      : block_s(block_s),
+        blocks(std::max<std::size_t>(1, static_cast<std::size_t>(seconds / block_s))) {}
   /// Records a job that completed `at_s` into the window (jobs past the
   /// last whole block are dropped).
   void add(double at_s, double ms) {
-    const auto b = static_cast<std::size_t>(at_s / kBlockS);
+    const auto b = static_cast<std::size_t>(at_s / block_s);
     if (b < blocks.size()) blocks[b].push_back(ms);
   }
-  void merge(const BlockWindow& other) {
-    for (std::size_t b = 0; b < blocks.size(); ++b)
-      blocks[b].insert(blocks[b].end(), other.blocks[b].begin(), other.blocks[b].end());
+  /// Adds `other`'s blocks after this window's (windows of separate slices).
+  void append(const BlockWindow& other) {
+    blocks.insert(blocks.end(), other.blocks.begin(), other.blocks.end());
   }
   /// `stat` applied to each non-empty block's latencies.
-  [[nodiscard]] std::vector<double> per_block(
-      double (*stat)(const std::vector<double>&)) const {
+  template <class Stat>
+  [[nodiscard]] std::vector<double> per_block(Stat stat) const {
     std::vector<double> v;
     for (const auto& b : blocks)
       if (!b.empty()) v.push_back(stat(b));
     return v;
   }
   [[nodiscard]] double jobs_per_s() const {
-    return median(per_block([](const std::vector<double>& b) { return b.size() / kBlockS; }));
+    return median(per_block([this](const std::vector<double>& b) { return b.size() / block_s; }));
   }
   [[nodiscard]] double p50_ms() const {
     return median(per_block([](const std::vector<double>& b) { return median(b); }));
@@ -205,12 +206,16 @@ void write_chrome_trace(const std::string& path);
 class Span {
  public:
   explicit Span(const char* name, std::uint64_t request = 0);
+  /// A span under `parent` (nullptr: a root) that leaves the thread's
+  /// open-span chain alone, for operations that interleave on one thread.
+  Span(const char* name, std::uint64_t request, const Span* parent);
   ~Span();
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
 
  private:
   bool on_;
+  bool nested_ = true;  // pushed on (and popped from) the open-span chain
   SpanRecord rec_;
 };
 

@@ -3,11 +3,10 @@
 // unless noted), so a layer's cost can be read independently of the
 // end-to-end numbers it feeds.  Every timed call is also a trace span.
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <optional>
-#include <thread>
+#include <type_traits>
 
 #include "core/bitstream.h"
 #include "platform/session.h"
@@ -345,40 +344,41 @@ void serve_mix_probes(const Config& cfg, Outcome& out) {
             "fraction");
   }
 
-  // The mix in-process (no wire), then over the wire, closed loop on three
-  // threads; each job routes to design (offset + j) % 4.
-  const auto closed_loop = [&](const std::function<pp::Result<std::vector<BitVector>>(
-                                   int c, std::size_t d)>& run) {
-    std::vector<std::vector<double>> ms(3);
-    std::vector<Outcome> outs(3);
+  // The mix in-process (no wire), then over the wire, in serve_mix's rounds:
+  // one job per tenant, tenants one design apart, then the three replies.
+  const auto closed_loop = [&](auto submit, auto wait) {
+    using Handle = std::decay_t<decltype(*submit(0, std::size_t{0}))>;
+    const auto failed = [&](const pp::Status& s) {
+      ++(s.code() == pp::StatusCode::kUnavailable ? out.refused : out.errors);
+    };
+    std::vector<double> ms;
     const auto t0 = Clock::now();
-    std::vector<std::thread> threads;
-    for (int c = 0; c < 3; ++c)
-      threads.emplace_back([&, c] {
-        for (std::size_t j = c; seconds_since(t0) < window_s; ++j) {
-          const std::size_t d = j % designs.size();
-          const auto t = Clock::now();
-          auto got = run(c, d);
-          ++outs[c].attempted;
-          if (!got.ok()) {
-            ++(got.status().code() == pp::StatusCode::kUnavailable ? outs[c].refused
-                                                                   : outs[c].errors);
-            continue;
-          }
-          check(*got, want[d], outs[c]);
-          ms[c].push_back(seconds_since(t) * 1e3);
+    for (std::size_t round = 0; seconds_since(t0) < window_s; ++round) {
+      std::vector<std::optional<Handle>> jobs(3);
+      std::vector<Clock::time_point> started(3);
+      for (int c = 0; c < 3; ++c) {
+        started[c] = Clock::now();
+        auto job = submit(c, (c + round) % designs.size());
+        if (job.ok()) {
+          jobs[c].emplace(std::move(*job));
+        } else {
+          ++out.attempted;
+          failed(job.status());
         }
-      });
-    for (auto& t : threads) t.join();
-    std::vector<double> all;
-    for (int c = 0; c < 3; ++c) {
-      out.attempted += outs[c].attempted;
-      out.errors += outs[c].errors;
-      out.wrong += outs[c].wrong;
-      out.refused += outs[c].refused;
-      all.insert(all.end(), ms[c].begin(), ms[c].end());
+      }
+      for (int c = 0; c < 3; ++c) {
+        if (!jobs[c]) continue;
+        auto got = wait(c, *jobs[c]);
+        ++out.attempted;
+        if (!got.ok()) {
+          failed(got.status());
+          continue;
+        }
+        check(*got, want[(c + round) % designs.size()], out);
+        ms.push_back(seconds_since(started[c]) * 1e3);
+      }
     }
-    return all;
+    return ms;
   };
   const auto priority = [](int c) {
     return c % 2 == 0 ? pp::rt::Priority::kInteractive : pp::rt::Priority::kBatch;
@@ -388,14 +388,14 @@ void serve_mix_probes(const Config& cfg, Outcome& out) {
     for (std::size_t d = 0; d < designs.size(); ++d)
       must(pool.register_design(designs[d].name, compiled[d]), "register");
     Span s("rt.pool_mix");
-    const auto ms = closed_loop([&](int c, std::size_t d) {
-      pp::rt::SubmitOptions o;
-      o.cycles = designs[d].cycles;
-      o.priority = priority(c);
-      auto job = pool.submit(designs[d].name, batches[d], o);
-      if (!job.ok()) return pp::Result<std::vector<BitVector>>(job.status());
-      return job->wait();
-    });
+    const auto ms = closed_loop(
+        [&](int c, std::size_t d) {
+          pp::rt::SubmitOptions o;
+          o.cycles = designs[d].cycles;
+          o.priority = priority(c);
+          return pool.submit(designs[d].name, batches[d], o);
+        },
+        [](int, pp::rt::Job& job) { return job.wait(); });
     out.add("rt.pool_job_p50_ms", median(ms), "ms");
     out.add("rt.pool_job_p99_ms", percentile(ms, 0.99), "ms");
   }
@@ -414,12 +414,14 @@ void serve_mix_probes(const Config& cfg, Outcome& out) {
     const auto pool_before = server.pool().stats();
     const auto server_before = server.stats();
     Span s("serve.wire_mix");
-    (void)closed_loop([&](int c, std::size_t d) {
-      pp::serve::ClientSubmitOptions o;
-      o.cycles = static_cast<std::uint32_t>(designs[d].cycles);
-      o.priority = priority(c);
-      return clients[c].run(designs[d].name, batches[d], o);
-    });
+    (void)closed_loop(
+        [&](int c, std::size_t d) {
+          pp::serve::ClientSubmitOptions o;
+          o.cycles = static_cast<std::uint32_t>(designs[d].cycles);
+          o.priority = priority(c);
+          return clients[c].submit(designs[d].name, batches[d], o);
+        },
+        [&](int c, std::uint64_t id) { return clients[c].wait(id); });
     const auto pool_after = server.pool().stats();
     const auto sum = [](const pp::rt::PoolStats& p, std::uint64_t pp::rt::DeviceStats::*f) {
       std::uint64_t n = 0;
