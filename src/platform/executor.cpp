@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
-#include <condition_variable>
 #include <future>
-#include <mutex>
 #include <utility>
 
 #include "core/bitstream.h"
@@ -15,14 +13,29 @@ namespace {
 
 constexpr std::size_t kLanes = sim::Evaluator::kBatchLanes;
 
-/// Evaluate wide-batch granules [granule_begin, granule_end) of `vectors`
-/// on one engine instance — each granule is `granule_words` plane words
-/// (granule_words * kLanes stimulus vectors, except the final partial one)
-/// packed straight into the engine's structure-of-arrays plane layout.
-/// The packing scratch is allocated once per shard and reused across its
-/// granules.  Fails on a non-binary output, whichever engine produced it.
+/// The ExecutorStats fields that mirror engine kernel counters: stats()
+/// copies their lifetime totals, last_run_stats() their per-run delta.
+constexpr std::uint64_t ExecutorStats::*kKernelCounters[] = {
+    &ExecutorStats::fast_passes,       &ExecutorStats::slow_passes,
+    &ExecutorStats::cycles_run,        &ExecutorStats::state_commits,
+    &ExecutorStats::fast_cycle_passes, &ExecutorStats::jit_passes};
+
+/// Evaluate granules [granule_begin, granule_end) of a batch on one engine
+/// instance.  `stimulus` holds streams of `cycles` vectors, stream-major
+/// (`stimulus[s * cycles + c]`), one stream per lane; an unclocked batch is
+/// the cycles == 1 case.  Each granule packs `granule_words * kLanes`
+/// streams (fewer in the final one) straight into the cycle-major SoA
+/// planes the engines speak — input j of cycle c is plane row
+/// `c * nin + j` — and unpacks one result vector per cycle.  `clocked`
+/// picks the engine call: run_cycles runs every cycle with per-lane
+/// register state in the engine's scratch, each granule from reset
+/// (streams are independent, so shards need no state exchange); eval_wide
+/// evaluates independent vectors.  The packing scratch is allocated once
+/// and reused across the granules.  Fails on a non-binary output,
+/// whichever engine produced it.
 [[nodiscard]] Status eval_granules(sim::Evaluator& eval,
-                                   std::span<const InputVector> vectors,
+                                   std::span<const InputVector> stimulus,
+                                   std::size_t cycles, bool clocked,
                                    const std::vector<std::string>& output_names,
                                    std::vector<BitVector>& results,
                                    std::size_t granule_begin,
@@ -30,76 +43,26 @@ constexpr std::size_t kLanes = sim::Evaluator::kBatchLanes;
                                    std::size_t granule_words) {
   const std::size_t nin = eval.input_count();
   const std::size_t nout = eval.output_count();
-  const std::size_t granule_lanes = granule_words * kLanes;
-  // Per-shard scratch: sized for a full granule, truncated views for the
-  // final partial one.  Stimulus is two-valued (BitVector), so the input
-  // unknown plane is always all-zero — exactly what arms the compiled
-  // engine's fast path.
-  std::vector<std::uint64_t> in_value(nin * granule_words);
-  const std::vector<std::uint64_t> in_unknown(nin * granule_words, 0);
-  std::vector<std::uint64_t> out_value(nout * granule_words);
-  std::vector<std::uint64_t> out_unknown(nout * granule_words);
-  for (std::size_t g = granule_begin; g < granule_end; ++g) {
-    const std::size_t v0 = g * granule_lanes;
-    const std::size_t lanes =
-        std::min<std::size_t>(granule_lanes, vectors.size() - v0);
-    const std::size_t words = (lanes + kLanes - 1) / kLanes;
-    std::fill(in_value.begin(), in_value.begin() + nin * words, 0);
-    for (std::size_t lane = 0; lane < lanes; ++lane) {
-      const InputVector& v = vectors[v0 + lane];
-      const std::size_t word = lane / kLanes;
-      const std::uint64_t bit = std::uint64_t{1} << (lane % kLanes);
-      for (std::size_t j = 0; j < nin; ++j)
-        if (v[j]) in_value[j * words + word] |= bit;
-    }
-    if (Status s = eval.eval_wide(
-            std::span<const std::uint64_t>(in_value.data(), nin * words),
-            std::span<const std::uint64_t>(in_unknown.data(), nin * words),
-            std::span<std::uint64_t>(out_value.data(), nout * words),
-            std::span<std::uint64_t>(out_unknown.data(), nout * words), lanes);
-        !s.ok())
-      return s;
-    for (std::size_t lane = 0; lane < lanes; ++lane) {
-      BitVector& r = results[v0 + lane];
-      r.assign(nout, false);
-      const std::size_t word = lane / kLanes;
-      const std::uint64_t bit = std::uint64_t{1} << (lane % kLanes);
-      for (std::size_t k = 0; k < nout; ++k) {
-        if (out_unknown[k * words + word] & bit)
-          return Status::internal("run_vectors: output '" + output_names[k] +
-                                  "' settled to X");
-        r[k] = (out_value[k * words + word] & bit) != 0;
-      }
-    }
-  }
-  return Status();
-}
-
-/// The clocked counterpart of eval_granules: each granule packs whole
-/// stimulus *streams* (stream-major `stimulus[s * cycles + c]`) into the
-/// cycle-major SoA planes run_cycles speaks, runs every cycle with per-lane
-/// register state carried inside the engine's scratch, and unpacks one
-/// result vector per cycle.  Each granule starts from reset — streams are
-/// independent by contract, so sharded clones need no state exchange.
-[[nodiscard]] Status eval_cycle_granules(
-    sim::Evaluator& eval, std::span<const InputVector> stimulus,
-    std::size_t cycles, const std::vector<std::string>& output_names,
-    std::vector<BitVector>& results, std::size_t granule_begin,
-    std::size_t granule_end, std::size_t granule_words) {
-  const std::size_t nin = eval.input_count();
-  const std::size_t nout = eval.output_count();
   const std::size_t streams = stimulus.size() / cycles;
   const std::size_t granule_lanes = granule_words * kLanes;
+  // Sized for a full granule, truncated views for the final partial one.
+  // Stimulus is two-valued (BitVector), so the input unknown plane is
+  // always all-zero — exactly what arms the compiled engine's fast path.
   std::vector<std::uint64_t> in_value(nin * cycles * granule_words);
   const std::vector<std::uint64_t> in_unknown(nin * cycles * granule_words, 0);
   std::vector<std::uint64_t> out_value(nout * cycles * granule_words);
   std::vector<std::uint64_t> out_unknown(nout * cycles * granule_words);
   for (std::size_t g = granule_begin; g < granule_end; ++g) {
     const std::size_t s0 = g * granule_lanes;
-    const std::size_t lanes =
-        std::min<std::size_t>(granule_lanes, streams - s0);
+    const std::size_t lanes = std::min(granule_lanes, streams - s0);
     const std::size_t words = (lanes + kLanes - 1) / kLanes;
-    std::fill(in_value.begin(), in_value.begin() + nin * cycles * words, 0);
+    const std::span<const std::uint64_t> in_v(in_value.data(),
+                                              nin * cycles * words);
+    const std::span<const std::uint64_t> in_u(in_unknown.data(), in_v.size());
+    const std::span<std::uint64_t> out_v(out_value.data(),
+                                         nout * cycles * words);
+    const std::span<std::uint64_t> out_u(out_unknown.data(), out_v.size());
+    std::fill(in_value.begin(), in_value.begin() + in_v.size(), 0);
     for (std::size_t lane = 0; lane < lanes; ++lane) {
       const std::size_t word = lane / kLanes;
       const std::uint64_t bit = std::uint64_t{1} << (lane % kLanes);
@@ -109,15 +72,9 @@ constexpr std::size_t kLanes = sim::Evaluator::kBatchLanes;
           if (v[j]) in_value[(c * nin + j) * words + word] |= bit;
       }
     }
-    if (Status s = eval.run_cycles(
-            std::span<const std::uint64_t>(in_value.data(),
-                                           nin * cycles * words),
-            std::span<const std::uint64_t>(in_unknown.data(),
-                                           nin * cycles * words),
-            std::span<std::uint64_t>(out_value.data(), nout * cycles * words),
-            std::span<std::uint64_t>(out_unknown.data(),
-                                     nout * cycles * words),
-            cycles, lanes);
+    if (Status s =
+            clocked ? eval.run_cycles(in_v, in_u, out_v, out_u, cycles, lanes)
+                    : eval.eval_wide(in_v, in_u, out_v, out_u, lanes);
         !s.ok())
       return s;
     for (std::size_t lane = 0; lane < lanes; ++lane) {
@@ -127,12 +84,15 @@ constexpr std::size_t kLanes = sim::Evaluator::kBatchLanes;
         BitVector& r = results[(s0 + lane) * cycles + c];
         r.assign(nout, false);
         for (std::size_t k = 0; k < nout; ++k) {
-          if (out_unknown[(c * nout + k) * words + word] & bit)
+          const std::size_t w = (c * nout + k) * words + word;
+          if (out_unknown[w] & bit)
             return Status::internal(
-                "run_cycles: output '" + output_names[k] +
-                "' settled to X at cycle " + std::to_string(c) +
-                " (unreset register state?)");
-          r[k] = (out_value[(c * nout + k) * words + word] & bit) != 0;
+                clocked ? "run_cycles: output '" + output_names[k] +
+                              "' settled to X at cycle " + std::to_string(c) +
+                              " (unreset register state?)"
+                        : "run_vectors: output '" + output_names[k] +
+                              "' settled to X");
+          r[k] = (out_value[w] & bit) != 0;
         }
       }
     }
@@ -289,179 +249,7 @@ Result<std::vector<BitVector>> BatchExecutor::run(
     return Status::failed_precondition(
         "run_vectors: clocked design (register state) — vectors are cycles "
         "of a stream, not independent; use run_cycles");
-  const std::size_t nin = in_nets_.size();
-  for (const InputVector& v : vectors)
-    if (v.size() != nin)
-      return Status::invalid_argument(
-          "run_vectors: every vector must have " + std::to_string(nin) +
-          " input values");
-
-  std::vector<BitVector> results(vectors.size());
-  if (vectors.empty()) return results;
-
-  // Engine selection: kAuto prefers a *ready* JIT kernel (never waits on a
-  // build), then the bit-parallel compiled engine, then the event-driven
-  // engine when CompiledEval rejects the design; kCompiled/kJit surface
-  // their engine's rejection instead.  Every engine sits behind
-  // sim::Evaluator, so everything below is engine-agnostic.
-  sim::Evaluator* engine = nullptr;
-  bool on_jit = false;
-  if (options.engine == Engine::kJit) {
-    if (Status s = ensure_jit(); !s.ok()) return s;
-    engine = jit_state_->engine.get();
-    on_jit = true;
-  } else if (options.engine != Engine::kEventDriven) {
-    if (options.engine == Engine::kAuto && (engine = jit_ready()) != nullptr) {
-      on_jit = true;
-    } else {
-      const Status s = ensure_compiled();
-      if (s.ok()) {
-        engine = compiled_.get();
-      } else if (options.engine == Engine::kCompiled) {
-        return s;
-      }
-    }
-  }
-  if (!engine) {
-    auto ev = ensure_event(options.max_events_per_vector);
-    if (!ev.ok()) return ev.status();
-    engine = *ev;
-  }
-  ++stats_.runs;
-  // The JIT serves the same compiled program natively, so its runs count
-  // in compiled_runs; jit_passes below says how many kernel passes the
-  // generated code took.  A kAuto run that wanted the JIT (warm requested)
-  // but ran elsewhere is a fallback.
-  const bool on_compiled = on_jit || engine == compiled_.get();
-  ++(on_compiled ? stats_.compiled_runs : stats_.event_runs);
-  const bool jit_fell_back = !on_jit && options.engine == Engine::kAuto &&
-                             jit_state_ && jit_state_->requested;
-  if (jit_fell_back) ++stats_.jit_fallbacks;
-
-  // The pass counters live on each engine's shared state, so sharded
-  // clones aggregate into the same totals; the executor's totals combine
-  // interpreter and JIT (either may have served past runs).  The lifetime
-  // totals follow every run, failed ones included (their passes did
-  // execute); last_run_ is only replaced when a run succeeds, per its
-  // documented contract.
-  const auto kernel_totals = [&]() -> sim::CompiledEval::KernelStats {
-    sim::CompiledEval::KernelStats t{};
-    if (compiled_) t = compiled_->kernel_stats();
-    if (jit_state_ && jit_state_->engine) {
-      const sim::CompiledEval::KernelStats j = jit_state_->engine->kernel_stats();
-      t.fast_passes += j.fast_passes;
-      t.slow_passes += j.slow_passes;
-      t.cycles_run += j.cycles_run;
-      t.state_commits += j.state_commits;
-      t.fast_cycle_passes += j.fast_cycle_passes;
-    }
-    return t;
-  };
-  const auto jit_pass_total = [&]() -> std::uint64_t {
-    if (!jit_state_ || !jit_state_->engine) return 0;
-    const sim::CompiledEval::KernelStats j = jit_state_->engine->kernel_stats();
-    return j.fast_passes + j.slow_passes + j.cycles_run;
-  };
-  const sim::CompiledEval::KernelStats passes_before =
-      on_compiled ? kernel_totals() : sim::CompiledEval::KernelStats{};
-  const std::uint64_t jit_before = jit_pass_total();
-  const auto sync_pass_totals = [&]() -> sim::CompiledEval::KernelStats {
-    if (!on_compiled) return {};
-    const sim::CompiledEval::KernelStats after = kernel_totals();
-    stats_.fast_passes = after.fast_passes;
-    stats_.slow_passes = after.slow_passes;
-    stats_.cycles_run = after.cycles_run;
-    stats_.state_commits = after.state_commits;
-    stats_.fast_cycle_passes = after.fast_cycle_passes;
-    stats_.jit_passes = jit_pass_total();
-    return after;
-  };
-  const auto finish = [&] {
-    const sim::CompiledEval::KernelStats after = sync_pass_totals();
-    stats_.vectors_run += vectors.size();
-    last_run_ = {};
-    last_run_.runs = 1;
-    ++(on_compiled ? last_run_.compiled_runs : last_run_.event_runs);
-    last_run_.vectors_run = vectors.size();
-    last_run_.fast_passes = after.fast_passes - passes_before.fast_passes;
-    last_run_.slow_passes = after.slow_passes - passes_before.slow_passes;
-    last_run_.jit_passes = jit_pass_total() - jit_before;
-    last_run_.jit_fallbacks = jit_fell_back ? 1 : 0;
-    if (jit_state_) {
-      last_run_.jit_compiles = std::exchange(jit_state_->pending_compiles, 0);
-      last_run_.jit_cache_hits =
-          std::exchange(jit_state_->pending_cache_hits, 0);
-    }
-  };
-
-  // Pack vectors into wide-batch granules (the engine's preferred words —
-  // 512 lanes for the default compiled engine, one 64-lane word for the
-  // event engine) and shard whole granules across the pool.  Compiled
-  // clones share the immutable program and carry only scratch planes;
-  // event clones copy the settled base simulator once per shard.
-  // max_threads may exceed the pool size: extra shards simply queue, which
-  // also lets single-core hosts exercise the cloning path.
-  util::ThreadPool& pool = util::global_pool();
-  std::size_t workers =
-      options.max_threads == 0 ? pool.worker_count() : options.max_threads;
-  std::size_t gwords = std::max<std::size_t>(1, engine->preferred_words());
-  // A full-width granule on a small or mid-size run can leave most of the
-  // pool idle (one 512-lane granule per shard).  Shrink the granule — never
-  // below one word — until there is at least one granule per worker; wide
-  // amortization matters less than an idle core.
-  const std::size_t total_words = (vectors.size() + kLanes - 1) / kLanes;
-  if (workers > 1 && gwords > 1)
-    gwords = std::max<std::size_t>(
-        1, std::min(gwords, (total_words + workers - 1) / workers));
-  const std::size_t glanes = gwords * kLanes;
-  const std::size_t ngranules = (vectors.size() + glanes - 1) / glanes;
-  workers = std::min(workers, ngranules);
-
-  if (workers <= 1) {
-    // Serial reference path: stream every granule through the engine itself.
-    if (Status s = eval_granules(*engine, vectors, output_names_, results, 0,
-                                 ngranules, gwords);
-        !s.ok()) {
-      sync_pass_totals();
-      return s;
-    }
-    finish();
-    return results;
-  }
-
-  // Completion is tracked with a per-call latch rather than the pool-wide
-  // wait_idle(): concurrent runs (or other pool users) must not be able to
-  // stall — or deadlock — this one.
-  std::mutex done_mutex;
-  std::condition_variable done_cv;
-  Status first_error;
-  const std::size_t chunk = (ngranules + workers - 1) / workers;
-  std::size_t remaining = (ngranules + chunk - 1) / chunk;
-  for (std::size_t begin = 0; begin < ngranules; begin += chunk) {
-    const std::size_t end = std::min(begin + chunk, ngranules);
-    pool.submit([&, begin, end] {
-      const std::unique_ptr<sim::Evaluator> local = engine->clone();
-      Status shard_status = eval_granules(*local, vectors, output_names_,
-                                          results, begin, end, gwords);
-      {
-        const std::lock_guard<std::mutex> lock(done_mutex);
-        if (!shard_status.ok() && first_error.ok())
-          first_error = std::move(shard_status);
-        --remaining;
-      }
-      done_cv.notify_one();
-    });
-  }
-  {
-    std::unique_lock<std::mutex> lock(done_mutex);
-    done_cv.wait(lock, [&] { return remaining == 0; });
-  }
-  if (!first_error.ok()) {
-    sync_pass_totals();
-    return first_error;
-  }
-  finish();
-  return results;
+  return run_batch(vectors, 1, /*clocked=*/false, options);
 }
 
 Result<std::vector<BitVector>> BatchExecutor::run_cycles(
@@ -472,7 +260,6 @@ Result<std::vector<BitVector>> BatchExecutor::run_cycles(
         "run_cycles: this binding serves a single configuration view — "
         "clocked polymorphic designs run per-mode through Session::load_poly "
         "with RunOptions::mode");
-  const std::size_t nin = in_nets_.size();
   if (cycles < 1)
     return Status::invalid_argument("run_cycles: cycles must be >= 1");
   if (stimulus.size() % cycles != 0)
@@ -480,31 +267,36 @@ Result<std::vector<BitVector>> BatchExecutor::run_cycles(
         "run_cycles: " + std::to_string(stimulus.size()) +
         " stimulus vectors do not divide into whole " +
         std::to_string(cycles) + "-cycle streams");
+  return run_batch(stimulus, cycles, /*clocked=*/true, options);
+}
+
+Result<std::vector<BitVector>> BatchExecutor::run_batch(
+    std::span<const InputVector> stimulus, std::size_t cycles, bool clocked,
+    const RunOptions& options) {
+  const std::size_t nin = in_nets_.size();
   for (const InputVector& v : stimulus)
     if (v.size() != nin)
       return Status::invalid_argument(
-          "run_cycles: every vector must have " + std::to_string(nin) +
+          std::string(clocked ? "run_cycles" : "run_vectors") +
+          ": every vector must have " + std::to_string(nin) +
           " input values");
 
   std::vector<BitVector> results(stimulus.size());
   if (stimulus.empty()) return results;
-  const std::size_t streams = stimulus.size() / cycles;
 
-  // Engine selection mirrors run(): kAuto prefers a ready JIT kernel, then
-  // the compiled sequential program, falling back to the event engine's
-  // per-lane cycle protocol when compile_sequential rejects the design
-  // (async handshakes, derived clocks, dynamic tri-state); kCompiled/kJit
-  // surface their engine's rejection.
+  // Engine selection: kAuto prefers a *ready* JIT kernel (never waits on a
+  // build), then the bit-parallel compiled engine (the sequential program
+  // for a clocked binding), then the event-driven engine when CompiledEval
+  // rejects the design; kCompiled/kJit surface their engine's rejection
+  // instead.  Every engine sits behind sim::Evaluator, so everything below
+  // is engine-agnostic.
   sim::Evaluator* engine = nullptr;
-  bool on_jit = false;
   if (options.engine == Engine::kJit) {
     if (Status s = ensure_jit(); !s.ok()) return s;
     engine = jit_state_->engine.get();
-    on_jit = true;
   } else if (options.engine != Engine::kEventDriven) {
-    if (options.engine == Engine::kAuto && (engine = jit_ready()) != nullptr) {
-      on_jit = true;
-    } else {
+    if (options.engine == Engine::kAuto) engine = jit_ready();
+    if (!engine) {
       const Status s = ensure_compiled();
       if (s.ok()) {
         engine = compiled_.get();
@@ -518,126 +310,95 @@ Result<std::vector<BitVector>> BatchExecutor::run_cycles(
     if (!ev.ok()) return ev.status();
     engine = *ev;
   }
-  ++stats_.runs;
+  // The JIT serves the same compiled program natively, so its runs count
+  // in compiled_runs; jit_passes says how many kernel passes the generated
+  // code took.  A kAuto run that wanted the JIT (warm requested) but ran
+  // elsewhere is a fallback.
+  const bool on_jit = jit_state_ && engine == jit_state_->engine.get();
   const bool on_compiled = on_jit || engine == compiled_.get();
-  ++(on_compiled ? stats_.compiled_runs : stats_.event_runs);
   const bool jit_fell_back = !on_jit && options.engine == Engine::kAuto &&
                              jit_state_ && jit_state_->requested;
+  ++stats_.runs;
+  ++(on_compiled ? stats_.compiled_runs : stats_.event_runs);
   if (jit_fell_back) ++stats_.jit_fallbacks;
 
-  const auto kernel_totals = [&]() -> sim::CompiledEval::KernelStats {
-    sim::CompiledEval::KernelStats t{};
-    if (compiled_) t = compiled_->kernel_stats();
-    if (jit_state_ && jit_state_->engine) {
-      const sim::CompiledEval::KernelStats j = jit_state_->engine->kernel_stats();
-      t.fast_passes += j.fast_passes;
-      t.slow_passes += j.slow_passes;
-      t.cycles_run += j.cycles_run;
-      t.state_commits += j.state_commits;
-      t.fast_cycle_passes += j.fast_cycle_passes;
-    }
+  // The kernel counters live on each engine's shared state, so sharded
+  // clones aggregate into the same totals; the executor's totals combine
+  // interpreter and JIT (either may have served past runs).
+  const auto kernel_totals = [this] {
+    sim::CompiledEval::KernelStats interp, jit;
+    if (compiled_) interp = compiled_->kernel_stats();
+    if (jit_state_ && jit_state_->engine)
+      jit = jit_state_->engine->kernel_stats();
+    ExecutorStats t;
+    t.fast_passes = interp.fast_passes + jit.fast_passes;
+    t.slow_passes = interp.slow_passes + jit.slow_passes;
+    t.cycles_run = interp.cycles_run + jit.cycles_run;
+    t.state_commits = interp.state_commits + jit.state_commits;
+    t.fast_cycle_passes = interp.fast_cycle_passes + jit.fast_cycle_passes;
+    t.jit_passes = jit.fast_passes + jit.slow_passes + jit.cycles_run;
     return t;
   };
-  const auto jit_pass_total = [&]() -> std::uint64_t {
-    if (!jit_state_ || !jit_state_->engine) return 0;
-    const sim::CompiledEval::KernelStats j = jit_state_->engine->kernel_stats();
-    return j.fast_passes + j.slow_passes + j.cycles_run;
-  };
-  const sim::CompiledEval::KernelStats passes_before =
-      on_compiled ? kernel_totals() : sim::CompiledEval::KernelStats{};
-  const std::uint64_t jit_before = jit_pass_total();
-  const auto sync_pass_totals = [&]() -> sim::CompiledEval::KernelStats {
-    if (!on_compiled) return {};
-    const sim::CompiledEval::KernelStats after = kernel_totals();
-    stats_.fast_passes = after.fast_passes;
-    stats_.slow_passes = after.slow_passes;
-    stats_.cycles_run = after.cycles_run;
-    stats_.state_commits = after.state_commits;
-    stats_.fast_cycle_passes = after.fast_cycle_passes;
-    stats_.jit_passes = jit_pass_total();
-    return after;
-  };
-  const auto finish = [&] {
-    const sim::CompiledEval::KernelStats after = sync_pass_totals();
-    stats_.vectors_run += stimulus.size();
-    last_run_ = {};
-    last_run_.runs = 1;
-    ++(on_compiled ? last_run_.compiled_runs : last_run_.event_runs);
-    last_run_.vectors_run = stimulus.size();
-    last_run_.fast_passes = after.fast_passes - passes_before.fast_passes;
-    last_run_.slow_passes = after.slow_passes - passes_before.slow_passes;
-    last_run_.cycles_run = after.cycles_run - passes_before.cycles_run;
-    last_run_.state_commits =
-        after.state_commits - passes_before.state_commits;
-    last_run_.fast_cycle_passes =
-        after.fast_cycle_passes - passes_before.fast_cycle_passes;
-    last_run_.jit_passes = jit_pass_total() - jit_before;
-    last_run_.jit_fallbacks = jit_fell_back ? 1 : 0;
-    if (jit_state_) {
-      last_run_.jit_compiles = std::exchange(jit_state_->pending_compiles, 0);
-      last_run_.jit_cache_hits =
-          std::exchange(jit_state_->pending_cache_hits, 0);
-    }
-  };
+  const ExecutorStats before = kernel_totals();
 
-  // Granules span whole streams (the lane axis); every stream of a granule
-  // runs all its cycles in one engine call, so register state never leaves
-  // the engine's scratch planes.  Sharding follows run(): whole granules
-  // per worker, granule width shrunk so no core idles on mid-size batches.
+  // Pack streams into wide-batch granules (the engine's preferred words —
+  // 512 lanes for the default compiled engine, one 64-lane word for the
+  // event engine) and shard whole granules across the pool.  Compiled
+  // clones share the immutable program and carry only scratch planes;
+  // event clones copy the settled base simulator once per shard.
+  // max_threads may exceed the pool size: extra shards simply queue, which
+  // also lets single-core hosts exercise the cloning path.
   util::ThreadPool& pool = util::global_pool();
-  std::size_t workers =
+  std::size_t shards =
       options.max_threads == 0 ? pool.worker_count() : options.max_threads;
   std::size_t gwords = std::max<std::size_t>(1, engine->preferred_words());
+  // A full-width granule on a small or mid-size batch can leave most of the
+  // pool idle (one 512-lane granule per shard).  Shrink the granule — never
+  // below one word — until there is at least one granule per worker; wide
+  // amortization matters less than an idle core.
+  const std::size_t streams = stimulus.size() / cycles;
   const std::size_t total_words = (streams + kLanes - 1) / kLanes;
-  if (workers > 1 && gwords > 1)
+  if (shards > 1 && gwords > 1)
     gwords = std::max<std::size_t>(
-        1, std::min(gwords, (total_words + workers - 1) / workers));
+        1, std::min(gwords, (total_words + shards - 1) / shards));
   const std::size_t glanes = gwords * kLanes;
   const std::size_t ngranules = (streams + glanes - 1) / glanes;
-  workers = std::min(workers, ngranules);
+  shards = std::min(shards, ngranules);
+  const std::size_t chunk = (ngranules + shards - 1) / shards;
+  shards = (ngranules + chunk - 1) / chunk;
 
-  if (workers <= 1) {
-    if (Status s = eval_cycle_granules(*engine, stimulus, cycles,
-                                       output_names_, results, 0, ngranules,
-                                       gwords);
-        !s.ok()) {
-      sync_pass_totals();
-      return s;
-    }
-    finish();
-    return results;
-  }
+  // Each shard writes only its own status slot; the first failing shard
+  // in granule order reports.
+  std::vector<Status> shard_status(shards);
+  util::parallel_for(pool, shards, [&](std::size_t s) {
+    // A lone shard streams through the engine itself (the serial reference
+    // path); sharded runs give each shard its own clone.
+    const std::unique_ptr<sim::Evaluator> clone =
+        shards > 1 ? engine->clone() : nullptr;
+    shard_status[s] = eval_granules(
+        clone ? *clone : *engine, stimulus, cycles, clocked, output_names_,
+        results, s * chunk, std::min(ngranules, (s + 1) * chunk), gwords);
+  });
 
-  std::mutex done_mutex;
-  std::condition_variable done_cv;
-  Status first_error;
-  const std::size_t chunk = (ngranules + workers - 1) / workers;
-  std::size_t remaining = (ngranules + chunk - 1) / chunk;
-  for (std::size_t begin = 0; begin < ngranules; begin += chunk) {
-    const std::size_t end = std::min(begin + chunk, ngranules);
-    pool.submit([&, begin, end] {
-      const std::unique_ptr<sim::Evaluator> local = engine->clone();
-      Status shard_status = eval_cycle_granules(
-          *local, stimulus, cycles, output_names_, results, begin, end,
-          gwords);
-      {
-        const std::lock_guard<std::mutex> lock(done_mutex);
-        if (!shard_status.ok() && first_error.ok())
-          first_error = std::move(shard_status);
-        --remaining;
-      }
-      done_cv.notify_one();
-    });
+  // The lifetime totals follow every run, failed ones included (their
+  // passes did execute); last_run_ is only replaced when a run succeeds,
+  // per its documented contract.
+  const ExecutorStats after = kernel_totals();
+  for (const auto field : kKernelCounters) stats_.*field = after.*field;
+  for (Status& s : shard_status)
+    if (!s.ok()) return std::move(s);
+  stats_.vectors_run += stimulus.size();
+  last_run_ = {.runs = 1,
+               .vectors_run = stimulus.size(),
+               .compiled_runs = on_compiled,
+               .event_runs = !on_compiled,
+               .jit_fallbacks = jit_fell_back};
+  for (const auto field : kKernelCounters)
+    last_run_.*field = after.*field - before.*field;
+  if (jit_state_) {
+    last_run_.jit_compiles = std::exchange(jit_state_->pending_compiles, 0);
+    last_run_.jit_cache_hits = std::exchange(jit_state_->pending_cache_hits, 0);
   }
-  {
-    std::unique_lock<std::mutex> lock(done_mutex);
-    done_cv.wait(lock, [&] { return remaining == 0; });
-  }
-  if (!first_error.ok()) {
-    sync_pass_totals();
-    return first_error;
-  }
-  finish();
   return results;
 }
 

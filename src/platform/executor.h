@@ -1,19 +1,16 @@
 // platform::BatchExecutor — the engine-owning batch-evaluation core shared
-// by the synchronous Session API and the pp::rt device runtime.
+// by the synchronous Session API and the pp::rt device runtime.  One
+// BatchExecutor per (circuit, input nets, output nets) binding owns engine
+// selection, lazy engine construction and caching, wide-batch packing and
+// sharding whole granules across util::ThreadPool, on one path that serves
+// both independent vectors (run) and clocked streams (run_cycles).  Engines
+// are built on first use and cached for the executor's lifetime, which is
+// how a design re-activated on an rt::Device reuses its levelization and
+// compiled program instead of re-deriving them.
 //
-// PR 2 put the two evaluation engines (bit-parallel CompiledEval, event-
-// driven EventEval) behind sim::Evaluator but left the policy — engine
-// selection, lazy construction and caching, wide-batch packing, sharding
-// whole granules across util::thread_pool — buried in Session.  The runtime needs
-// exactly the same machinery per resident design, so it lives here: one
-// BatchExecutor per (circuit, input nets, output nets) binding, engines
-// built on first use and cached for the executor's lifetime (which is how a
-// design re-activated on an rt::Device reuses its levelization and compiled
-// program instead of re-deriving them).
-//
-// Thread-safety: `run` shards *within* one call, but the executor itself is
-// not synchronized — callers serialize calls (Session is single-threaded by
-// contract; rt::Device funnels every job through its dispatcher).
+// Thread-safety: a batch shards *within* one call, but the executor itself
+// is not synchronized — callers serialize calls (Session is single-threaded
+// by contract; rt::Device funnels every job through its dispatcher).
 
 /// \file
 /// \brief platform::BatchExecutor — the engine-owning batch-evaluation
@@ -265,6 +262,12 @@ class BatchExecutor {
   [[nodiscard]] sim::JitEval* jit_ready();
   /// Block until the (possibly just-requested) build finishes.
   [[nodiscard]] Status ensure_jit();
+  /// The batch path behind run and run_cycles: `stimulus` holds streams of
+  /// `cycles` vectors (1 for run); `clocked` drives them through the
+  /// engine's run_cycles instead of eval_wide.
+  [[nodiscard]] Result<std::vector<BitVector>> run_batch(
+      std::span<const InputVector> stimulus, std::size_t cycles, bool clocked,
+      const RunOptions& options);
 
   const sim::Circuit* circuit_;
   std::vector<sim::NetId> in_nets_;

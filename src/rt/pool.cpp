@@ -410,14 +410,17 @@ struct DevicePool::Impl {
       sup_cv.wait(lock, [&] { return it->second.inner.valid(); });
       pj = &it->second;
     }
+    bool withdrawn = false;
     {
-      // The caller withdrew the pool job: its handle is already terminal,
-      // the inner outcome has nobody to go to.
       const std::lock_guard<std::mutex> lock(pj->outer->mutex);
-      if (pj->outer->phase == detail::JobState::Phase::kCanceled) {
-        finish_pending(id);
-        return;
-      }
+      withdrawn = pj->outer->phase == detail::JobState::Phase::kCanceled;
+    }
+    if (withdrawn) {
+      // The caller withdrew the pool job: its handle is already terminal,
+      // the inner outcome has nobody to go to.  Finished only after the
+      // lock is released: dropping the entry may free the outer state.
+      finish_pending(id);
+      return;
     }
     if (pj->inner.canceled()) {
       // The device shut down under the job (pool teardown): the outer job

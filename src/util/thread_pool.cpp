@@ -1,6 +1,8 @@
 #include "util/thread_pool.h"
 
 #include <algorithm>
+#include <latch>
+#include <memory>
 
 namespace pp::util {
 
@@ -27,14 +29,8 @@ void ThreadPool::submit(std::function<void()> task) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     queue_.push_back(std::move(task));
-    ++in_flight_;
   }
   cv_task_.notify_one();
-}
-
-void ThreadPool::wait_idle() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  cv_idle_.wait(lock, [this] { return in_flight_ == 0; });
 }
 
 void ThreadPool::worker_loop() {
@@ -51,29 +47,25 @@ void ThreadPool::worker_loop() {
       queue_.pop_front();
     }
     task();
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (--in_flight_ == 0) cv_idle_.notify_all();
-    }
   }
 }
 
 void parallel_for(ThreadPool& pool, std::size_t n,
                   const std::function<void(std::size_t)>& fn) {
-  if (n == 0) return;
-  const std::size_t workers = pool.worker_count();
-  if (workers <= 1 || n == 1) {
+  if (pool.worker_count() <= 1 || n <= 1) {
     for (std::size_t i = 0; i < n; ++i) fn(i);
     return;
   }
-  const std::size_t chunk = (n + workers - 1) / workers;
-  for (std::size_t begin = 0; begin < n; begin += chunk) {
-    const std::size_t end = std::min(n, begin + chunk);
-    pool.submit([begin, end, &fn] {
-      for (std::size_t i = begin; i < end; ++i) fn(i);
+  // Every task co-owns the latch, so the count_down that releases the
+  // caller never touches memory the caller may already have unwound.
+  const auto done =
+      std::make_shared<std::latch>(static_cast<std::ptrdiff_t>(n));
+  for (std::size_t i = 0; i < n; ++i)
+    pool.submit([done, &fn, i] {
+      fn(i);
+      done->count_down();
     });
-  }
-  pool.wait_idle();
+  done->wait();
 }
 
 ThreadPool& global_pool() {

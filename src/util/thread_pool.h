@@ -1,7 +1,8 @@
 // A small fixed-size thread pool with a blocking task queue and a
-// parallel_for helper.  Benches use it for embarrassingly parallel parameter
-// sweeps (Monte-Carlo defect injection, VTC grids); on single-core hosts it
-// degrades gracefully to serial execution.
+// parallel_for helper.  parallel_for completes per call: it waits for its
+// own tasks, never for the pool to go idle, so concurrent callers and
+// unrelated long-running tasks cannot hold up its return.  On
+// single-worker pools it degrades to serial execution on the caller.
 #pragma once
 
 #include <condition_variable>
@@ -28,9 +29,6 @@ class ThreadPool {
   /// Enqueue a task; tasks must not throw (exceptions terminate).
   void submit(std::function<void()> task);
 
-  /// Block until every submitted task has finished.
-  void wait_idle();
-
  private:
   void worker_loop();
 
@@ -38,14 +36,16 @@ class ThreadPool {
   std::deque<std::function<void()>> queue_;
   std::mutex mutex_;
   std::condition_variable cv_task_;
-  std::condition_variable cv_idle_;
-  std::size_t in_flight_ = 0;
   bool stop_ = false;
 };
 
-/// Run `fn(i)` for i in [0, n) across the pool, blocking until done.
-/// Chunked statically: each worker gets contiguous ranges, which suits the
-/// regular per-iteration cost of our sweeps.
+/// Run `fn(i)` for every i in [0, n), each call as its own pool task, and
+/// return once all n calls have finished.  Completion is tracked per call,
+/// never pool-wide: the caller waits for its own tasks only (they queue
+/// behind earlier tasks like any other), and the last of them touches
+/// nothing of the caller's after the caller may have returned.  Callers
+/// size n (one index per shard); with n == 1 or a single-worker pool the
+/// calls run in order on the caller.  `fn` must not throw.
 void parallel_for(ThreadPool& pool, std::size_t n,
                   const std::function<void(std::size_t)>& fn);
 

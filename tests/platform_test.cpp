@@ -124,6 +124,52 @@ TEST(Compiler, CompiledEngineServesSequentialDesigns) {
   EXPECT_EQ(st.fast_cycle_passes, cycles);
 }
 
+TEST(Compiler, ShardedRunCyclesMatchesSerialAndNetlist) {
+  // 130 streams span three 64-lane words: max_threads 1 runs them as one
+  // 512-lane granule on the uncloned engine, 2 shrinks the granule to two
+  // words (two shards), 4 to one word (three shards, one granule each).
+  const auto nl = map::make_counter(2);
+  auto design = compile(nl);
+  ASSERT_TRUE(design.ok()) << design.status().to_string();
+  const std::size_t streams = 130;
+  const std::size_t cycles = 8;
+  std::vector<InputVector> stimulus;  // stream s enables on the bits of s
+  for (std::size_t s = 0; s < streams; ++s)
+    for (std::size_t c = 0; c < cycles; ++c)
+      stimulus.push_back({((s >> c) & 1) != 0});
+
+  std::vector<BitVector> serial;
+  for (const auto& [threads, granules] :
+       {std::pair<std::size_t, std::size_t>{1, 1}, {2, 2}, {4, 3}}) {
+    SCOPED_TRACE("max_threads " + std::to_string(threads));
+    auto session = Session::load(*design);
+    ASSERT_TRUE(session.ok()) << session.status().to_string();
+    auto batch = session->run_cycles(
+        stimulus, cycles,
+        RunOptions{.max_threads = threads, .engine = Engine::kCompiled});
+    ASSERT_TRUE(batch.ok()) << batch.status().to_string();
+    ASSERT_EQ(batch->size(), stimulus.size());
+    for (std::size_t s = 0; s < streams; ++s) {
+      auto state = nl.make_state();
+      for (std::size_t c = 0; c < cycles; ++c)
+        ASSERT_EQ((*batch)[s * cycles + c],
+                  nl.step({stimulus[s * cycles + c][0]}, state))
+            << "stream " << s << " cycle " << c;
+    }
+    if (serial.empty()) serial = *batch;
+    EXPECT_EQ(*batch, serial);
+
+    // One pass group per granule: every granule runs all 8 cycles and
+    // commits both registers each cycle, all on the fast path.
+    const ExecutorStats st = session->executor_stats();
+    EXPECT_EQ(st.runs, 1u);
+    EXPECT_EQ(st.vectors_run, stimulus.size());
+    EXPECT_EQ(st.cycles_run, granules * cycles);
+    EXPECT_EQ(st.state_commits, granules * 2 * cycles);
+    EXPECT_EQ(st.fast_cycle_passes, granules * cycles);
+  }
+}
+
 TEST(Compiler, SequentialStepResyncsInteractiveView) {
   auto design = compile(map::make_counter(2));
   ASSERT_TRUE(design.ok()) << design.status().to_string();

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <future>
 #include <set>
 
 #include "util/numeric.h"
@@ -145,6 +147,33 @@ TEST(ThreadPool, ZeroItemsNoop) {
   bool ran = false;
   parallel_for(pool, 0, [&](std::size_t) { ran = true; });
   EXPECT_FALSE(ran);
+}
+
+TEST(ThreadPool, ParallelForCompletesPerCall) {
+  // An unrelated task holds one worker until released; parallel_for must
+  // finish its own calls on the other worker and return regardless.
+  ThreadPool pool(2);
+  std::promise<void> started;
+  std::future<void> blocking = started.get_future();
+  std::promise<void> release;
+  pool.submit([&started, released = release.get_future().share()] {
+    started.set_value();
+    released.wait();
+  });
+  blocking.wait();
+
+  std::atomic<long> sum{0};
+  auto call = std::async(std::launch::async, [&] {
+    parallel_for(pool, 8,
+                 [&](std::size_t i) { sum += static_cast<long>(i); });
+  });
+  // Bounded, so a pool-wide wait fails here instead of hanging the suite.
+  const bool returned =
+      call.wait_for(std::chrono::seconds(5)) == std::future_status::ready;
+  release.set_value();
+  call.wait();
+  EXPECT_TRUE(returned) << "parallel_for waited on an unrelated task";
+  EXPECT_EQ(sum.load(), 28);
 }
 
 }  // namespace
