@@ -130,10 +130,11 @@ Result<ElaboratedFabric> Fabric::try_elaborate(const FabricDelays& d) const {
   ef.cols_ = cols_;
   sim::Circuit& ckt = ef.circuit_;
 
-  auto name = [](const char* kind, int r, int c, int i) {
-    std::ostringstream os;
-    os << kind << "_" << r << "_" << c << "_" << i;
-    return os.str();
+  // kind_r_c_i, short enough to stay in std::string's inline buffer (a
+  // stream per net would cost half of elaboration).
+  auto name = [](std::string kind, int r, int c, int i) {
+    for (const int v : {r, c, i}) (kind += '_') += std::to_string(v);
+    return kind;
   };
 
   // 1. Create all input-line nets, including the south/east boundary rows.

@@ -1,6 +1,7 @@
 #include "map/router.h"
 
-#include <map>
+#include <algorithm>
+#include <cstdint>
 #include <queue>
 
 namespace pp::map {
@@ -12,6 +13,27 @@ using core::DriverCfg;
 using core::kBlockInputs;
 using core::kBlockOutputs;
 using core::LfbWhich;
+
+bool Router::on_fabric(const SignalAt& s) const {
+  return s.r >= 0 && s.r <= fabric_.rows() && s.c >= 0 &&
+         s.c <= fabric_.cols() &&
+         !(s.r == fabric_.rows() && s.c == fabric_.cols()) && s.line >= 0 &&
+         s.line < kBlockInputs;
+}
+
+void Router::reserve_line(const SignalAt& s) {
+  if (on_fabric(s))
+    reserved_[(static_cast<std::size_t>(s.r) * (fabric_.cols() + 1) + s.c) *
+                  kBlockInputs +
+              s.line] = true;
+}
+
+bool Router::line_reserved(int r, int c, int line) const {
+  return on_fabric({r, c, line}) &&
+         reserved_[(static_cast<std::size_t>(r) * (fabric_.cols() + 1) + c) *
+                       kBlockInputs +
+                   line];
+}
 
 bool Router::row_free(int r, int c, int row) const {
   if (r < 0 || r >= fabric_.rows() || c < 0 || c >= fabric_.cols())
@@ -56,102 +78,94 @@ std::optional<RouteResult> Router::route(const SignalAt& src,
 
 Result<RouteResult> Router::try_route(const SignalAt& src, const SignalAt& dst,
                                       bool invert) {
-  struct State {
-    int r, c, line;
-  };
-  struct Prev {
-    int r, c, line;     // predecessor state
-    int via_r, via_c, via_row;  // block/row used for the hop
-  };
-  auto endpoint_ok = [&](const SignalAt& p) {
-    return p.r >= 0 && p.r <= fabric_.rows() && p.c >= 0 &&
-           p.c <= fabric_.cols() &&
-           !(p.r == fabric_.rows() && p.c == fabric_.cols()) && p.line >= 0 &&
-           p.line < kBlockInputs;
-  };
-  if (!endpoint_ok(src) || !endpoint_ok(dst))
+  if (!on_fabric(src) || !on_fabric(dst))
     return Status::out_of_range("route: endpoint outside the fabric");
   if (src == dst && !invert) return RouteResult{};  // already there
+  const Status no_path = Status::resource_exhausted(
+      "route: no feed-through path from the source to the destination");
+  // Hops only move east or south: a destination north or west of the
+  // source is unreachable.
+  if (dst.r < src.r || dst.c < src.c) return no_path;
 
   // A line may be used by a hop only if it has no abutting driver yet and is
   // not reserved (the explicit destination may be reserved: reservations
   // exist precisely to keep *other* routes off someone's input line).
   auto line_usable = [&](int r, int c, int line) {
-    if (!line_free(r, c, line)) return false;
-    if (line_reserved(r, c, line) &&
-        !(SignalAt{r, c, line} == dst))
-      return false;
-    return true;
+    return line_free(r, c, line) &&
+           (!line_reserved(r, c, line) || SignalAt{r, c, line} == dst);
   };
 
-  std::map<std::tuple<int, int, int>, Prev> visited;
-  std::queue<State> frontier;
-  frontier.push({src.r, src.c, src.line});
-  visited[{src.r, src.c, src.line}] = {-1, -1, -1, -1, -1, -1};
-
-  auto found = [&](const State& s) {
-    return s.r == dst.r && s.c == dst.c && s.line == dst.line;
+  // Per state of the box, a back pointer: 0 = unvisited, kSource, or
+  // 1 + east * kBlockInputs + the predecessor's line (the hop's block is the
+  // predecessor's and its row the state's line).  Per block, the rows it
+  // can forward through: bit `row`, found when its first state is expanded.
+  constexpr std::uint8_t kSource = 0xff, kUnknown = 0x80;
+  const int box_cols = dst.c - src.c + 1;
+  const auto box_blocks =
+      static_cast<std::size_t>(dst.r - src.r + 1) * box_cols;
+  auto block_of = [&](int r, int c) {
+    return static_cast<std::size_t>(r - src.r) * box_cols + (c - src.c);
   };
+  std::vector<std::uint8_t> back(box_blocks * kBlockInputs);
+  std::vector<std::uint8_t> hop_rows(box_blocks, kUnknown);
+  auto from = [&](const SignalAt& s) -> std::uint8_t& {
+    return back[block_of(s.r, s.c) * kBlockInputs + s.line];
+  };
+  std::queue<SignalAt> frontier({src});
+  from(src) = kSource;
 
-  std::optional<State> goal;
-  while (!frontier.empty() && !goal) {
-    const State s = frontier.front();
+  bool found = false;
+  while (!frontier.empty() && !found) {
+    // The signal sits on input line `line` of block (br, bc), which can
+    // forward it through any free row unless that column reads an lfb.
+    const auto [br, bc, line] = frontier.front();
     frontier.pop();
-    // The signal sits on input line (s.r, s.c, s.line); block (s.r, s.c)
-    // can forward it through any free row.
-    const int br = s.r, bc = s.c;
-    if (br >= fabric_.rows() || bc >= fabric_.cols()) continue;
-    // Skip if this block's column s.line is configured to read an lfb.
-    if (fabric_.block(br, bc).col_src[s.line] != ColSource::kAbut) continue;
-    for (int row = 0; row < kBlockOutputs; ++row) {
-      if (!row_free(br, bc, row)) continue;
+    if (br >= fabric_.rows() || bc >= fabric_.cols() ||
+        fabric_.block(br, bc).col_src[line] != ColSource::kAbut)
+      continue;
+    std::uint8_t& rows = hop_rows[block_of(br, bc)];
+    if (rows == kUnknown) {
       // Driving row `row` lands the value on the east and south lines of
-      // index `row`; both must be usable (one driver reaches both).
-      if (!line_usable(br, bc + 1, row) || !line_usable(br + 1, bc, row))
-        continue;
+      // index `row`; both must be usable (one driver reaches both), even
+      // when one of them lies outside the box.
+      rows = 0;
+      for (int row = 0; row < kBlockOutputs; ++row)
+        if (row_free(br, bc, row) && line_usable(br, bc + 1, row) &&
+            line_usable(br + 1, bc, row))
+          rows |= static_cast<std::uint8_t>(1u << row);
+    }
+    for (int row = 0; row < kBlockOutputs && !found; ++row) {
+      if ((rows >> row & 1u) == 0) continue;
       // South explored first: among equal-length monotone paths BFS keeps
       // the first-visited predecessor, so routes drop south out of the IO
       // row into open fabric instead of piling east along the boundary.
-      for (const auto& [nr, nc] : {std::pair{br + 1, bc}, {br, bc + 1}}) {
-        if (nr > fabric_.rows() || nc > fabric_.cols()) continue;
-        if (nr == fabric_.rows() && nc == fabric_.cols()) continue;
-        const auto key = std::make_tuple(nr, nc, row);
-        if (visited.count(key)) continue;
-        visited[key] = {s.r, s.c, s.line, br, bc, row};
-        const State n{nr, nc, row};
-        if (found(n)) {
-          goal = n;
-          break;
-        }
+      for (const int east : {0, 1}) {
+        const SignalAt n{br + 1 - east, bc + east, row};
+        if (n.r > dst.r || n.c > dst.c || from(n) != 0) continue;
+        from(n) = static_cast<std::uint8_t>(1 + east * kBlockInputs + line);
+        found = n == dst;
+        if (found) break;
         frontier.push(n);
       }
-      if (goal) break;
     }
   }
-  if (!goal)
-    return Status::resource_exhausted(
-        "route: no feed-through path from the source to the destination");
+  if (!found) return no_path;
 
-  // Reconstruct and apply: each hop sets xpoint[row][in_line] active and the
-  // driver to Invert (polarity-neutral hop).  The final hop's driver becomes
-  // Buffer when the caller wants the complement.
-  std::vector<Prev> chain;
-  State s = *goal;
-  for (;;) {
-    const Prev p = visited[{s.r, s.c, s.line}];
-    if (p.via_row < 0) break;
-    chain.push_back(p);
-    s = {p.r, p.c, p.line};
-  }
+  // Walk back from the destination, applying each hop: xpoint[row][in_line]
+  // active and the driver Invert (polarity-neutral), or Buffer on the final
+  // hop when the caller wants the complement.
   RouteResult result;
-  for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
-    BlockConfig& b = fabric_.block(it->via_r, it->via_c);
-    b.xpoint[it->via_row][it->line] = BiasLevel::kActive;
-    const bool last = (it + 1 == chain.rend());
-    b.driver[it->via_row] =
-        (last && invert) ? DriverCfg::kBuffer : DriverCfg::kInvert;
-    result.hops.push_back({it->via_r, it->via_c, it->via_row});
+  for (SignalAt s = dst; from(s) != kSource;) {
+    const int code = from(s) - 1, east = code / kBlockInputs;
+    const SignalAt p{s.r - 1 + east, s.c - east, code % kBlockInputs};
+    BlockConfig& b = fabric_.block(p.r, p.c);
+    b.xpoint[s.line][p.line] = BiasLevel::kActive;
+    b.driver[s.line] = (invert && result.hops.empty()) ? DriverCfg::kBuffer
+                                                       : DriverCfg::kInvert;
+    result.hops.push_back({p.r, p.c, s.line});
+    s = p;
   }
+  std::reverse(result.hops.begin(), result.hops.end());
   result.hop_count = static_cast<int>(result.hops.size());
   return result;
 }

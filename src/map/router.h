@@ -12,13 +12,13 @@
 //
 // Hops advance east or south only (see fabric.h's connectivity model), so
 // the router is a BFS over (block row, block col, line index) states with
-// occupancy tracking of rows and abutted lines.
+// occupancy tracking of rows and abutted lines.  No state outside the box
+// spanned by source and destination lies on a path between them, so the
+// search visits only that box, keeping every path an unbounded one picks.
 #pragma once
 
 #include <functional>
 #include <optional>
-#include <set>
-#include <tuple>
 #include <vector>
 
 #include "core/fabric.h"
@@ -40,7 +40,11 @@ struct RouteResult {
 
 class Router {
  public:
-  explicit Router(core::Fabric& fabric) : fabric_(fabric) {}
+  /// `fabric` must outlive the router and keep its dimensions.
+  explicit Router(core::Fabric& fabric)
+      : fabric_(fabric),
+        reserved_(static_cast<std::size_t>(fabric.rows() + 1) *
+                  (fabric.cols() + 1) * core::kBlockInputs) {}
 
   /// Route the signal at `src` so it appears on input line `dst`.
   /// On success the fabric is updated (rows configured as feed-throughs)
@@ -60,11 +64,9 @@ class Router {
   /// Declare an input line off-limits: no route may drive it (not even as
   /// the side-effect copy of a hop), except as the explicit destination of
   /// its own `route` call.  The platform compiler reserves IO pad lines and
-  /// macro input lines this way.
-  void reserve_line(const SignalAt& s) { reserved_.insert({s.r, s.c, s.line}); }
-  [[nodiscard]] bool line_reserved(int r, int c, int line) const {
-    return reserved_.count({r, c, line}) > 0;
-  }
+  /// macro input lines this way.  Lines outside the fabric are ignored.
+  void reserve_line(const SignalAt& s);
+  [[nodiscard]] bool line_reserved(int r, int c, int line) const;
 
   /// Install a predicate vetoing rows (e.g. rows with defective leaf cells,
   /// from arch::DefectMap).  Returning false blocks row `row` of block
@@ -84,8 +86,11 @@ class Router {
   [[nodiscard]] bool line_free(int r, int c, int line) const;
 
  private:
+  /// True for an input line of the fabric (in_line's addressing).
+  [[nodiscard]] bool on_fabric(const SignalAt& s) const;
+
   core::Fabric& fabric_;
-  std::set<std::tuple<int, int, int>> reserved_;
+  std::vector<bool> reserved_;  // one bit per (r, c, line), row-major
   std::function<bool(int, int, int)> row_filter_;
 };
 

@@ -60,14 +60,14 @@ struct SubmitOptions {
   /// dispatcher picks it up completes with kDeadlineExceeded *without
   /// running* (the fabric never reconfigures for dead work).  Unset = no
   /// deadline.
-  std::optional<std::chrono::steady_clock::time_point> deadline;
+  std::optional<std::chrono::steady_clock::time_point> deadline{};
   /// Completion hook: invoked exactly once, outside the job's state lock,
   /// when the job reaches a terminal phase (done *or* canceled) — on
   /// whichever thread drove the transition.  This is how rt::DevicePool's
   /// resilience supervisor learns a device job retired without blocking a
   /// thread per job (DESIGN.md §15); ordinary callers leave it empty.  The
   /// callback must not submit to or wait on the job's own device queue.
-  std::function<void()> on_terminal;
+  std::function<void()> on_terminal{};
 };
 
 namespace detail {

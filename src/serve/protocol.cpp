@@ -1,5 +1,6 @@
 #include "serve/protocol.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "core/bitstream.h"  // core::crc32
@@ -44,7 +45,7 @@ struct Writer {
 struct Reader {
   std::span<const std::uint8_t> bytes;
   std::size_t pos = 0;
-  Status status;  // first failure; all reads after a failure return zeros
+  Status status{};  // first failure; all reads after a failure return zeros
 
   [[nodiscard]] bool fail(std::string what) {
     if (status.ok())
@@ -235,18 +236,16 @@ void write_state_bindings(Writer& w,
 
 std::vector<std::uint8_t> encode_frame(MsgType type,
                                        std::span<const std::uint8_t> payload) {
-  std::vector<std::uint8_t> bytes;
-  bytes.reserve(kHeaderBytes + payload.size() + kTrailerBytes);
-  bytes.insert(bytes.end(), std::begin(kMagic), std::end(kMagic));
-  bytes.push_back(kProtocolVersion);
-  bytes.push_back(static_cast<std::uint8_t>(type));
-  bytes.resize(bytes.size() + 4);
-  put_u32(bytes, bytes.size() - 4,
-          static_cast<std::uint32_t>(payload.size()));
-  bytes.insert(bytes.end(), payload.begin(), payload.end());
-  const std::uint32_t crc = core::crc32(bytes);
-  bytes.resize(bytes.size() + 4);
-  put_u32(bytes, bytes.size() - 4, crc);
+  std::vector<std::uint8_t> bytes(kHeaderBytes + payload.size() +
+                                  kTrailerBytes);
+  for (std::size_t i = 0; i < sizeof(kMagic); ++i)
+    bytes[i] = static_cast<std::uint8_t>(kMagic[i]);
+  bytes[4] = kProtocolVersion;
+  bytes[5] = static_cast<std::uint8_t>(type);
+  put_u32(bytes, 6, static_cast<std::uint32_t>(payload.size()));
+  std::copy(payload.begin(), payload.end(), bytes.begin() + kHeaderBytes);
+  const std::size_t body = kHeaderBytes + payload.size();
+  put_u32(bytes, body, core::crc32(std::span(bytes).first(body)));
   return bytes;
 }
 

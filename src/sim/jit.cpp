@@ -1231,8 +1231,9 @@ Result<JitEval> JitEval::build(const CompiledEval& base,
       const std::string err_path = tmp + ".err";
       if (!write_file(c_path, source))
         return Status::unavailable("jit: cannot write " + c_path);
+      // -s strips the temp source name: racing builders write equal bytes.
       std::vector<std::string> argv = cc;
-      argv.insert(argv.end(), {"-O2", "-shared", "-fPIC"});
+      argv.insert(argv.end(), {"-O2", "-shared", "-fPIC", "-s"});
       for (const std::string& f : split_ws(options.extra_cflags))
         argv.push_back(f);
       argv.insert(argv.end(), {"-o", so_tmp, c_path});

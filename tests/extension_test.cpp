@@ -2,7 +2,10 @@
 // bit-serial arithmetic, and the handshake protocol checker.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
+#include <string>
+#include <vector>
 
 #include "async/micropipeline.h"
 #include "async/protocol.h"
@@ -216,6 +219,174 @@ TEST(Timing, FabricLatchLoopsAreFlagged) {
   auto ef = f.elaborate();
   const auto rep = core::analyze_timing(ef.circuit());
   EXPECT_GT(rep.loop_nets, 0);  // the cross-coupled output pair
+}
+
+/// The iterative longest-path relaxation analyze_timing used to run, kept
+/// as the oracle for the one-pass analysis: Jacobi sweeps until no arrival
+/// changes (a DAG settles within #nets sweeps); if arrivals are still
+/// growing after #nets + 2 sweeps, the nets still changing are loop
+/// members, and loop membership is propagated forward to everything
+/// downstream.  O(depth x (nets + pins)).
+core::TimingReport relaxation_timing(const sim::Circuit& ckt) {
+  using sim::GateKind;
+  const auto nnets = static_cast<std::uint32_t>(ckt.net_count());
+  core::TimingReport rep;
+  rep.arrival.assign(nnets, 0);
+  rep.in_loop.assign(nnets, false);
+  std::vector<std::vector<sim::GateId>> driver_of(nnets);
+  for (sim::GateId g = 0; g < ckt.gate_count(); ++g) {
+    const GateKind k = ckt.gate(g).kind;
+    if (k == GateKind::kDff || k == GateKind::kLatch ||
+        k == GateKind::kCElement || k == GateKind::kConst0 ||
+        k == GateKind::kConst1)
+      continue;
+    driver_of[ckt.gate(g).output].push_back(g);
+  }
+  auto relax = [&](sim::NetId n) {
+    sim::SimTime best = 0;
+    for (sim::GateId g : driver_of[n]) {
+      const sim::Gate& gate = ckt.gate(g);
+      sim::SimTime in_arrival = 0;
+      for (sim::NetId in : gate.inputs)
+        in_arrival = std::max(in_arrival, rep.arrival[in]);
+      best = std::max(best, in_arrival + gate.delay_ps);
+    }
+    return best;
+  };
+  bool changed = true;
+  std::vector<sim::SimTime> next = rep.arrival;
+  for (std::uint32_t iter = 0; changed && iter <= nnets + 1; ++iter) {
+    changed = false;
+    for (sim::NetId n = 0; n < nnets; ++n) {
+      next[n] = relax(n);
+      if (next[n] != rep.arrival[n]) changed = true;
+    }
+    rep.arrival.swap(next);
+  }
+  if (changed) {
+    for (sim::NetId n = 0; n < nnets; ++n)
+      if (relax(n) != rep.arrival[n]) rep.in_loop[n] = true;
+    bool grow = true;
+    for (std::uint32_t guard = 0; grow && guard++ <= nnets;) {
+      grow = false;
+      for (sim::NetId n = 0; n < nnets; ++n) {
+        if (rep.in_loop[n]) continue;
+        for (sim::GateId g : driver_of[n])
+          for (sim::NetId in : ckt.gate(g).inputs)
+            if (rep.in_loop[in] && !rep.in_loop[n]) {
+              rep.in_loop[n] = true;
+              grow = true;
+            }
+      }
+    }
+    for (sim::NetId n = 0; n < nnets; ++n)
+      if (rep.in_loop[n]) {
+        rep.arrival[n] = 0;
+        ++rep.loop_nets;
+      }
+  }
+  for (sim::NetId n = 0; n < nnets; ++n)
+    if (rep.arrival[n] > rep.critical_path_ps) {
+      rep.critical_path_ps = rep.arrival[n];
+      rep.critical_net = n;
+    }
+  return rep;
+}
+
+/// A random gate-level circuit of up to 40 nets: primary inputs, NAND, NOT
+/// and XOR gates, nets with one to three 3-state drivers, DFFs, constants
+/// and undriven nets.  Gate delays run 1..500 ps, with one in ten requested
+/// as 0 (which Circuit::add_gate raises to 1).  Pins mostly read an earlier
+/// net; the per-circuit chance of reading any net instead sets how loopy
+/// it is, from a DAG to a tangle of cycles.
+sim::Circuit random_circuit(util::Rng& rng) {
+  using sim::GateKind;
+  sim::Circuit c;
+  const auto nnets = static_cast<sim::NetId>(2 + rng.next_below(39));
+  for (sim::NetId n = 0; n < nnets; ++n) c.add_net();
+  const double back_pin = rng.next_bool(0.3) ? 0.0 : 0.25 * rng.next_double();
+  auto pin = [&](sim::NetId n) {
+    const bool any = n == 0 || rng.next_bool(back_pin);
+    return static_cast<sim::NetId>(rng.next_below(any ? nnets : n));
+  };
+  auto pins = [&](sim::NetId n, std::uint64_t count) {
+    std::vector<sim::NetId> ins;
+    for (std::uint64_t i = 0; i < count; ++i) ins.push_back(pin(n));
+    return ins;
+  };
+  auto delay = [&]() -> sim::SimTime {
+    return rng.next_bool(0.1) ? 0 : 1 + rng.next_below(500);
+  };
+  for (sim::NetId n = 0; n < nnets; ++n) {
+    switch (rng.next_below(8)) {
+      case 0: c.mark_input(n); break;
+      case 1:
+        c.add_gate(GateKind::kNand, pins(n, 1 + rng.next_below(3)), n,
+                   delay());
+        break;
+      case 2: c.add_gate(GateKind::kNot, pins(n, 1), n, delay()); break;
+      case 3:
+        c.add_gate(GateKind::kXor, pins(n, 2 + rng.next_below(2)), n,
+                   delay());
+        break;
+      case 4:
+        for (std::uint64_t d = 1 + rng.next_below(3); d > 0; --d)
+          c.add_gate(rng.next_bool() ? GateKind::kTriBuf : GateKind::kTriInv,
+                     pins(n, 2), n, delay());
+        break;
+      case 5:
+        c.add_gate(GateKind::kDff, pins(n, 2 + rng.next_below(2)), n,
+                   delay());
+        break;
+      case 6:
+        c.add_gate(rng.next_bool() ? GateKind::kConst1 : GateKind::kConst0,
+                   {}, n, delay());
+        break;
+      default: break;  // undriven
+    }
+  }
+  return c;
+}
+
+void expect_same_report(const core::TimingReport& got,
+                        const core::TimingReport& want) {
+  EXPECT_EQ(got.arrival, want.arrival);
+  EXPECT_EQ(got.in_loop, want.in_loop);
+  EXPECT_EQ(got.loop_nets, want.loop_nets);
+  EXPECT_EQ(got.critical_path_ps, want.critical_path_ps);
+  EXPECT_EQ(got.critical_net, want.critical_net);
+}
+
+TEST(Timing, OnePassMatchesRelaxationOnRandomCircuits) {
+  int with_loops = 0;
+  constexpr int kCircuits = 1500;
+  for (int seed = 0; seed < kCircuits; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    util::Rng rng(7000 + seed);
+    const sim::Circuit c = random_circuit(rng);
+    const auto want = relaxation_timing(c);
+    expect_same_report(core::analyze_timing(c), want);
+    if (want.loop_nets > 0) ++with_loops;
+    if (HasFailure()) break;
+  }
+  // Both regimes are exercised: DAGs and circuits with cycles.
+  EXPECT_GT(with_loops, kCircuits / 5);
+  EXPECT_LT(with_loops, kCircuits * 4 / 5);
+}
+
+TEST(Timing, OnePassMatchesRelaxationOnFabrics) {
+  // Elaborated fabrics: a routed ripple adder (a deep DAG) and latches
+  // (cross-coupled NAND loops feeding downstream logic).
+  Fabric adder(2, map::macros::ripple_adder_cols(4));
+  map::macros::ripple_adder(adder, 0, 0, 4);
+  Fabric latches(3, 3);
+  map::macros::d_latch(latches, 0, 0);
+  map::macros::d_latch(latches, 2, 0);
+  for (const Fabric* f : {&adder, &latches}) {
+    const auto ef = f->elaborate();
+    expect_same_report(core::analyze_timing(ef.circuit()),
+                       relaxation_timing(ef.circuit()));
+  }
 }
 
 // ---------- Bit-serial adder ----------------------------------------------------

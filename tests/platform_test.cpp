@@ -2,7 +2,10 @@
 // Session, verified against the behavioural netlist reference.
 #include <gtest/gtest.h>
 
+#include <span>
+
 #include "arch/defects.h"
+#include "core/bitstream.h"
 #include "map/netlist.h"
 #include "platform/compiler.h"
 #include "platform/report.h"
@@ -33,6 +36,48 @@ void verify_exhaustive(const map::Netlist& nl, Session& session,
     for (std::size_t k = 0; k < expect.size(); ++k)
       EXPECT_EQ((*results)[v][k], expect[k])
           << "vector " << v << " output " << k;
+  }
+}
+
+/// What a compile must reproduce byte for byte: array size, routing and
+/// timing, and the CRC-32 of the bitstream without its 4-byte trailer (the
+/// trailer is the CRC of everything before it, so a CRC over the whole
+/// stream is the same constant for every stream).
+struct CompilePin {
+  int rows, cols, route_hops;
+  sim::SimTime critical_path_ps;
+  std::uint32_t body_crc;
+};
+
+void expect_pinned(const CompiledDesign& design, const CompilePin& pin) {
+  EXPECT_EQ(design.report.fabric_rows, pin.rows);
+  EXPECT_EQ(design.report.fabric_cols, pin.cols);
+  EXPECT_EQ(design.report.route_hops, pin.route_hops);
+  EXPECT_EQ(design.report.critical_path_ps, pin.critical_path_ps);
+  const std::span<const std::uint8_t> stream(design.bitstream);
+  ASSERT_GT(stream.size(), 4u);
+  EXPECT_EQ(core::crc32(stream.first(stream.size() - 4)), pin.body_crc);
+}
+
+TEST(Compiler, GoldenCompileOutputs) {
+  // Placement and routing are deterministic; a change that moves any of
+  // these numbers changes every bitstream and must update them on purpose.
+  const struct {
+    const char* name;
+    map::Netlist netlist;
+    CompilePin pin;
+  } cases[] = {
+      {"parity8", map::make_parity(8), {14, 45, 215, 972, 0xb6af89e9u}},
+      {"mux4", map::make_mux4(), {16, 48, 381, 1062, 0xd9f47b68u}},
+      {"counter4", map::make_counter(4), {16, 47, 288, 1044, 0x492df162u}},
+      {"adder4", map::make_ripple_adder(4), {40, 111, 1344, 2628, 0x83c3e64eu}},
+      {"adder8", map::make_ripple_adder(8), {80, 219, 5060, 5292, 0xa994f222u}},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    auto design = compile(c.netlist);
+    ASSERT_TRUE(design.ok()) << design.status().to_string();
+    expect_pinned(*design, c.pin);
   }
 }
 
@@ -310,6 +355,7 @@ TEST(Compiler, DefectAvoidanceRelocatesAndStillComputes) {
   auto design = compile(nl, options);
   ASSERT_TRUE(design.ok()) << design.status().to_string();
   EXPECT_EQ(arch::conflicts(design->fabric, defects), 0);
+  expect_pinned(*design, {4, 23, 23, 270, 0x78467125u});
   auto session = Session::load(*design);
   ASSERT_TRUE(session.ok()) << session.status().to_string();
   verify_exhaustive(nl, *session);
