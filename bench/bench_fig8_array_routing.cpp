@@ -23,8 +23,8 @@ int main(int argc, char** argv) {
     map::Router router(f);
     const map::SignalAt src{0, 0, 0};
     const map::SignalAt dst{size - 1, size - 1, 3};
-    const auto res = router.route(src, dst);
-    if (!res) {
+    const auto res = router.try_route(src, dst);
+    if (!res.ok()) {
       bench::verdict(false, "routing failed");
       return 1;
     }

@@ -91,7 +91,7 @@ void BM_RouterDiagonal(benchmark::State& state) {
     core::Fabric f(size, size);
     map::Router router(f);
     benchmark::DoNotOptimize(
-        router.route({0, 0, 0}, {size - 1, size - 1, 5}));
+        router.try_route({0, 0, 0}, {size - 1, size - 1, 5}));
   }
 }
 BENCHMARK(BM_RouterDiagonal)->Arg(4)->Arg(8)->Arg(16);

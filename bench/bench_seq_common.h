@@ -49,7 +49,7 @@ struct SeqCompare {
   double speedup = 0;
   bool identical = false;  ///< outputs bit-for-bit equal, X included
   bool ok = false;         ///< both engines ran and outputs matched
-  sim::CompiledEval::KernelStats kernel;  ///< compiled cycle counters
+  sim::KernelStats kernel;  ///< compiled cycle counters
 };
 
 /// Run `stimulus` for `cycles` cycles on `lanes` lanes through both

@@ -99,7 +99,7 @@ struct BlockConfig {
 
   /// Sanity diagnostics (e.g. lfb select out of range, column reading an
   /// unsourced lfb).  Empty string = OK.  Neighbour existence is checked by
-  /// Fabric::validate, which knows the block's position.
+  /// Fabric::check, which knows the block's position.
   [[nodiscard]] std::string validate() const;
 
   bool operator==(const BlockConfig&) const = default;

@@ -46,11 +46,6 @@ Result<Fabric> Fabric::create(int rows, int cols) {
   return Fabric(rows, cols);
 }
 
-std::string Fabric::validate() const {
-  const Status s = check();
-  return s.ok() ? std::string{} : s.message();
-}
-
 Status Fabric::check() const {
   std::ostringstream err;
   for (int r = 0; r < rows_; ++r) {

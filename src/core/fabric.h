@@ -24,7 +24,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "core/block.h"
@@ -113,10 +112,6 @@ class Fabric {
   /// enabled abutting driver; block-local validity.  The error message
   /// carries one diagnostic line per violation.
   [[nodiscard]] Status check() const;
-
-  /// Deprecated shim over `check()`: empty string = OK, else the diagnostic
-  /// text (the seed's convention, kept for existing callers/tests).
-  [[nodiscard]] std::string validate() const;
 
   /// Build the simulatable circuit.  Fails with kInvalidArgument when the
   /// configuration does not pass `check()`.

@@ -69,13 +69,6 @@ bool Router::line_free(int r, int c, int line) const {
   return true;
 }
 
-std::optional<RouteResult> Router::route(const SignalAt& src,
-                                         const SignalAt& dst, bool invert) {
-  auto result = try_route(src, dst, invert);
-  if (!result.ok()) return std::nullopt;
-  return std::move(*result);
-}
-
 Result<RouteResult> Router::try_route(const SignalAt& src, const SignalAt& dst,
                                       bool invert) {
   if (!on_fabric(src) || !on_fabric(dst))

@@ -18,7 +18,6 @@
 #pragma once
 
 #include <functional>
-#include <optional>
 #include <vector>
 
 #include "core/fabric.h"
@@ -57,14 +56,11 @@ class Router {
                                               const SignalAt& dst,
                                               bool invert = false);
 
-  /// Deprecated shim over `try_route`: nullopt on any failure.
-  std::optional<RouteResult> route(const SignalAt& src, const SignalAt& dst,
-                                   bool invert = false);
-
   /// Declare an input line off-limits: no route may drive it (not even as
   /// the side-effect copy of a hop), except as the explicit destination of
-  /// its own `route` call.  The platform compiler reserves IO pad lines and
-  /// macro input lines this way.  Lines outside the fabric are ignored.
+  /// its own `try_route` call.  The platform compiler reserves IO pad
+  /// lines and macro input lines this way.  Lines outside the fabric are
+  /// ignored.
   void reserve_line(const SignalAt& s);
   [[nodiscard]] bool line_reserved(int r, int c, int line) const;
 

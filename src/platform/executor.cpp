@@ -13,13 +13,6 @@ namespace {
 
 constexpr std::size_t kLanes = sim::Evaluator::kBatchLanes;
 
-/// The ExecutorStats fields that mirror engine kernel counters: stats()
-/// copies their lifetime totals, last_run_stats() their per-run delta.
-constexpr std::uint64_t ExecutorStats::*kKernelCounters[] = {
-    &ExecutorStats::fast_passes,       &ExecutorStats::slow_passes,
-    &ExecutorStats::cycles_run,        &ExecutorStats::state_commits,
-    &ExecutorStats::fast_cycle_passes, &ExecutorStats::jit_passes};
-
 /// Evaluate granules [granule_begin, granule_end) of a batch on one engine
 /// instance.  `stimulus` holds streams of `cycles` vectors, stream-major
 /// (`stimulus[s * cycles + c]`), one stream per lane; an unclocked batch is
@@ -238,6 +231,23 @@ Status BatchExecutor::ensure_jit() {
 
 Status BatchExecutor::jit_engine_status() { return ensure_jit(); }
 
+sim::KernelStats BatchExecutor::kernel_totals() const noexcept {
+  // The counters live on each engine's shared state, so sharded clones
+  // aggregate into the same totals; either engine may have served past
+  // runs.
+  sim::KernelStats totals;
+  if (compiled_) totals += compiled_->kernel_stats();
+  if (jit_state_ && jit_state_->engine)
+    totals += jit_state_->engine->kernel_stats();
+  return totals;
+}
+
+ExecutorStats BatchExecutor::stats() const noexcept {
+  ExecutorStats out = stats_;
+  out += kernel_totals();
+  return out;
+}
+
 Result<std::vector<BitVector>> BatchExecutor::run(
     std::span<const InputVector> vectors, const RunOptions& options) {
   if (options.mode != 0 || options.sweep_modes)
@@ -322,24 +332,7 @@ Result<std::vector<BitVector>> BatchExecutor::run_batch(
   ++(on_compiled ? stats_.compiled_runs : stats_.event_runs);
   if (jit_fell_back) ++stats_.jit_fallbacks;
 
-  // The kernel counters live on each engine's shared state, so sharded
-  // clones aggregate into the same totals; the executor's totals combine
-  // interpreter and JIT (either may have served past runs).
-  const auto kernel_totals = [this] {
-    sim::CompiledEval::KernelStats interp, jit;
-    if (compiled_) interp = compiled_->kernel_stats();
-    if (jit_state_ && jit_state_->engine)
-      jit = jit_state_->engine->kernel_stats();
-    ExecutorStats t;
-    t.fast_passes = interp.fast_passes + jit.fast_passes;
-    t.slow_passes = interp.slow_passes + jit.slow_passes;
-    t.cycles_run = interp.cycles_run + jit.cycles_run;
-    t.state_commits = interp.state_commits + jit.state_commits;
-    t.fast_cycle_passes = interp.fast_cycle_passes + jit.fast_cycle_passes;
-    t.jit_passes = jit.fast_passes + jit.slow_passes + jit.cycles_run;
-    return t;
-  };
-  const ExecutorStats before = kernel_totals();
+  const sim::KernelStats before = kernel_totals();
 
   // Pack streams into wide-batch granules (the engine's preferred words —
   // 512 lanes for the default compiled engine, one 64-lane word for the
@@ -380,21 +373,19 @@ Result<std::vector<BitVector>> BatchExecutor::run_batch(
         results, s * chunk, std::min(ngranules, (s + 1) * chunk), gwords);
   });
 
-  // The lifetime totals follow every run, failed ones included (their
-  // passes did execute); last_run_ is only replaced when a run succeeds,
-  // per its documented contract.
-  const ExecutorStats after = kernel_totals();
-  for (const auto field : kKernelCounters) stats_.*field = after.*field;
+  // The lifetime totals read the engines live, so they include failed
+  // runs (their passes did execute); last_run_ is only replaced when a run
+  // succeeds, per its documented contract.
   for (Status& s : shard_status)
     if (!s.ok()) return std::move(s);
   stats_.vectors_run += stimulus.size();
-  last_run_ = {.runs = 1,
-               .vectors_run = stimulus.size(),
-               .compiled_runs = on_compiled,
-               .event_runs = !on_compiled,
-               .jit_fallbacks = jit_fell_back};
-  for (const auto field : kKernelCounters)
-    last_run_.*field = after.*field - before.*field;
+  last_run_ = {};
+  last_run_ += kernel_totals() - before;
+  last_run_.runs = 1;
+  last_run_.vectors_run = stimulus.size();
+  last_run_.compiled_runs = on_compiled;
+  last_run_.event_runs = !on_compiled;
+  last_run_.jit_fallbacks = jit_fell_back;
   if (jit_state_) {
     last_run_.jit_compiles = std::exchange(jit_state_->pending_compiles, 0);
     last_run_.jit_cache_hits = std::exchange(jit_state_->pending_cache_hits, 0);

@@ -75,40 +75,18 @@ struct RunOptions {
   bool sweep_modes = false;
 };
 
-/// Cumulative accounting of one executor's batch runs (all counters
-/// monotone; failed runs count toward runs but not vectors_run).  Shares
-/// the executor's synchronization contract: read it from the thread that
-/// serializes run() calls.
-struct ExecutorStats {
+/// Cumulative accounting of one executor's batch runs: the run counts
+/// below plus the engine counters it inherits (all monotone; failed runs
+/// count toward runs but not vectors_run).  Shares the executor's
+/// synchronization contract: read it from the thread that serializes
+/// run() calls.  JIT-served runs count in compiled_runs (the JIT serves
+/// the same compiled program, natively), so jit_passes is the share of
+/// that work done by generated code.
+struct ExecutorStats : sim::KernelStats {
   std::uint64_t runs = 0;           ///< run() calls that reached an engine
   std::uint64_t vectors_run = 0;    ///< stimulus vectors evaluated OK
   std::uint64_t compiled_runs = 0;  ///< runs served by the compiled engine
   std::uint64_t event_runs = 0;     ///< runs served by the event engine
-  /// Compiled-engine kernel passes that took the two-valued single-plane
-  /// fast path (no unknown bits in the batch; see DESIGN.md §12).
-  std::uint64_t fast_passes = 0;
-  /// Compiled-engine kernel passes that ran the full two-plane kernel.
-  std::uint64_t slow_passes = 0;
-  /// Clock cycles executed by the compiled sequential kernel (per pass
-  /// group; see sim::CompiledEval::KernelStats::cycles_run).
-  std::uint64_t cycles_run = 0;
-  /// Register captures committed at clock edges by the compiled kernel.
-  std::uint64_t state_commits = 0;
-  /// Compiled sequential cycles that rode the single-plane fast path.
-  std::uint64_t fast_cycle_passes = 0;
-  /// Kernel passes (wide passes + clocked cycles) served by the JIT
-  /// native engine.  JIT-served runs also count in compiled_runs — the
-  /// JIT serves the same compiled program, natively — so this is the
-  /// share of that work done by generated code.
-  std::uint64_t jit_passes = 0;
-  /// JIT kernel builds that invoked the host compiler (a disk-cache miss).
-  std::uint64_t jit_compiles = 0;
-  /// JIT kernel builds satisfied entirely from the shared disk cache.
-  std::uint64_t jit_cache_hits = 0;
-  /// Runs that asked for the JIT (warm_jit requested, Engine::kAuto) but
-  /// were served by another engine — the kernel was still building, or
-  /// its build failed (no host compiler, oversized program).
-  std::uint64_t jit_fallbacks = 0;
 };
 
 /// Pack a batch of equal-width vectors into structure-of-arrays bit
@@ -236,12 +214,12 @@ class BatchExecutor {
   }
 
   /// Accounting across this executor's lifetime — how often each engine
-  /// actually served, how many vectors went through, and how many compiled
-  /// kernel passes took the two-valued fast path.  Surfaced as
+  /// actually served and how many vectors went through, plus its engines'
+  /// live kernel counters (interpreter and JIT summed).  Surfaced as
   /// Session::executor_stats(); rt::Device keeps its own aggregate
   /// (DeviceStats) under its stats lock because this view shares the
   /// executor's caller-serialized contract.
-  [[nodiscard]] const ExecutorStats& stats() const noexcept { return stats_; }
+  [[nodiscard]] ExecutorStats stats() const noexcept;
 
   /// The slice of stats() attributable to the most recent *successful*
   /// run() (runs == 1, that run's vectors and kernel passes).  Failed runs
@@ -262,6 +240,8 @@ class BatchExecutor {
   [[nodiscard]] sim::JitEval* jit_ready();
   /// Block until the (possibly just-requested) build finishes.
   [[nodiscard]] Status ensure_jit();
+  /// The kernel counters of the cached interpreter and JIT engines, summed.
+  [[nodiscard]] sim::KernelStats kernel_totals() const noexcept;
   /// The batch path behind run and run_cycles: `stimulus` holds streams of
   /// `cycles` vectors (1 for run); `clocked` drives them through the
   /// engine's run_cycles instead of eval_wide.
@@ -282,6 +262,7 @@ class BatchExecutor {
   std::unique_ptr<sim::CompiledEval> compiled_;
   std::unique_ptr<sim::EventEval> event_engine_;
   std::unique_ptr<JitState> jit_state_;
+  /// Run counts and JIT events; stats() adds the engines' kernel counters.
   ExecutorStats stats_;
   ExecutorStats last_run_;
 };

@@ -281,18 +281,9 @@ struct Device::Impl {
         if (!swapped) ++stats.batched_jobs;
         if (status.ok()) {
           stats.vectors_run += results.size();
-          // Fold this job's kernel-pass accounting into the device view
-          // (the executor is still serialized here: hw_mutex is held).
-          const platform::ExecutorStats& lr = rd->executor().last_run_stats();
-          stats.fast_passes += lr.fast_passes;
-          stats.slow_passes += lr.slow_passes;
-          stats.cycles_run += lr.cycles_run;
-          stats.state_commits += lr.state_commits;
-          stats.fast_cycle_passes += lr.fast_cycle_passes;
-          stats.jit_passes += lr.jit_passes;
-          stats.jit_compiles += lr.jit_compiles;
-          stats.jit_cache_hits += lr.jit_cache_hits;
-          stats.jit_fallbacks += lr.jit_fallbacks;
+          // Fold this job's engine counters into the device view (the
+          // executor is still serialized here: hw_mutex is held).
+          stats += rd->executor().last_run_stats();
         }
       }
     }

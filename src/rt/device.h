@@ -89,8 +89,9 @@ struct DeviceOptions {
   bool jit = false;
 };
 
-/// Cumulative runtime accounting (all counters monotone).
-struct DeviceStats {
+/// Cumulative runtime accounting (all counters monotone).  The inherited
+/// engine counters sum this device's successful jobs.
+struct DeviceStats : sim::KernelStats {
   std::uint64_t designs_loaded = 0;    ///< distinct resident designs built
   std::uint64_t dedup_hits = 0;        ///< loads aliased to a resident twin
   std::uint64_t activations = 0;       ///< personality swaps applied
@@ -107,29 +108,6 @@ struct DeviceStats {
   std::uint64_t jobs_expired = 0;
   std::uint64_t batched_jobs = 0;    ///< ran without a personality swap
   std::uint64_t vectors_run = 0;     ///< stimulus vectors evaluated OK
-  /// Compiled-engine kernel passes that took the two-valued single-plane
-  /// fast path across all of this device's jobs (see
-  /// platform::ExecutorStats::fast_passes).
-  std::uint64_t fast_passes = 0;
-  /// Compiled-engine kernel passes that ran the full two-plane kernel.
-  std::uint64_t slow_passes = 0;
-  /// Clock cycles executed by clocked jobs' compiled kernels (see
-  /// platform::ExecutorStats::cycles_run).
-  std::uint64_t cycles_run = 0;
-  /// Register captures committed at clock edges by clocked jobs.
-  std::uint64_t state_commits = 0;
-  /// Compiled sequential cycles that rode the single-plane fast path.
-  std::uint64_t fast_cycle_passes = 0;
-  /// Kernel passes served by JIT-generated native code across this
-  /// device's jobs (see platform::ExecutorStats::jit_passes).
-  std::uint64_t jit_passes = 0;
-  /// JIT kernel builds that invoked the host compiler (disk-cache misses).
-  std::uint64_t jit_compiles = 0;
-  /// JIT kernel builds satisfied from the shared disk cache.
-  std::uint64_t jit_cache_hits = 0;
-  /// Jobs that wanted the JIT but were served by another engine (kernel
-  /// still building, or its build failed).
-  std::uint64_t jit_fallbacks = 0;
 };
 
 /// One polymorphic array under runtime control: designs are made resident

@@ -960,19 +960,11 @@ PoolStats DevicePool::stats() const {
   out.device.reserve(impl_->devices.size());
   for (const Device& device : impl_->devices) {
     out.queue_depths.push_back(device.queue_depth());
-    out.device.push_back(device.stats());
-    out.jobs_failed += out.device.back().jobs_failed;
-    out.jobs_completed += out.device.back().jobs_completed;
-    out.jobs_expired += out.device.back().jobs_expired;
-    out.fast_passes += out.device.back().fast_passes;
-    out.slow_passes += out.device.back().slow_passes;
-    out.cycles_run += out.device.back().cycles_run;
-    out.state_commits += out.device.back().state_commits;
-    out.fast_cycle_passes += out.device.back().fast_cycle_passes;
-    out.jit_passes += out.device.back().jit_passes;
-    out.jit_compiles += out.device.back().jit_compiles;
-    out.jit_cache_hits += out.device.back().jit_cache_hits;
-    out.jit_fallbacks += out.device.back().jit_fallbacks;
+    const DeviceStats& d = out.device.emplace_back(device.stats());
+    out.jobs_failed += d.jobs_failed;
+    out.jobs_completed += d.jobs_completed;
+    out.jobs_expired += d.jobs_expired;
+    out += d;
   }
   return out;
 }

@@ -99,7 +99,8 @@ struct PoolOptions {
 
 /// Point-in-time snapshot of the pool's scheduling behaviour.  Cumulative
 /// counters are monotone; queue_depths is an instantaneous load picture.
-struct PoolStats {
+/// The inherited engine counters are the fleet totals of `device[]`.
+struct PoolStats : sim::KernelStats {
   std::uint64_t jobs_submitted = 0;     ///< accepted by DevicePool::submit
   std::uint64_t affinity_active = 0;    ///< routed to an active-design device
   std::uint64_t affinity_resident = 0;  ///< routed to a merely-resident one
@@ -126,29 +127,6 @@ struct PoolStats {
   std::uint64_t jobs_completed = 0;
   /// Fleet total of DeviceStats::jobs_expired (deadline expiries).
   std::uint64_t jobs_expired = 0;
-  /// Fleet total of DeviceStats::fast_passes — compiled kernel passes that
-  /// took the two-valued single-plane fast path.
-  std::uint64_t fast_passes = 0;
-  /// Fleet total of DeviceStats::slow_passes (two-plane kernel passes).
-  std::uint64_t slow_passes = 0;
-  /// Fleet total of DeviceStats::cycles_run (clocked-job kernel cycles).
-  std::uint64_t cycles_run = 0;
-  /// Fleet total of DeviceStats::state_commits (clock-edge captures).
-  std::uint64_t state_commits = 0;
-  /// Fleet total of DeviceStats::fast_cycle_passes (single-plane cycles).
-  std::uint64_t fast_cycle_passes = 0;
-  /// Fleet total of DeviceStats::jit_passes (kernel passes served by
-  /// JIT-generated native code).
-  std::uint64_t jit_passes = 0;
-  /// Fleet total of DeviceStats::jit_compiles (JIT cache misses that
-  /// invoked the host compiler).
-  std::uint64_t jit_compiles = 0;
-  /// Fleet total of DeviceStats::jit_cache_hits (kernels loaded from the
-  /// shared disk cache).
-  std::uint64_t jit_cache_hits = 0;
-  /// Fleet total of DeviceStats::jit_fallbacks (jobs that wanted the JIT
-  /// but ran on another engine).
-  std::uint64_t jit_fallbacks = 0;
   std::vector<std::uint64_t> jobs_per_device;  ///< submits routed per device
   std::vector<std::size_t> queue_depths;  ///< per-device depth at snapshot
   std::vector<DeviceStats> device;        ///< per-device runtime counters

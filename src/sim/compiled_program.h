@@ -129,6 +129,26 @@ struct SeqReg {
   PackedBits reset;  ///< broadcast state image at reset (behavioural: X)
 };
 
+/// The KernelStats counters an engine measures, as relaxed atomics (pure
+/// statistics, one increment per >=64-lane pass).  One instance is shared
+/// by every clone of a compilation or JIT build.
+struct KernelCounters {
+  std::atomic<std::uint64_t> fast_passes{0};
+  std::atomic<std::uint64_t> slow_passes{0};
+  std::atomic<std::uint64_t> cycles_run{0};
+  std::atomic<std::uint64_t> state_commits{0};
+  std::atomic<std::uint64_t> fast_cycle_passes{0};
+
+  [[nodiscard]] KernelStats load() const noexcept {
+    constexpr auto kRelaxed = std::memory_order_relaxed;
+    return {.fast_passes = fast_passes.load(kRelaxed),
+            .slow_passes = slow_passes.load(kRelaxed),
+            .cycles_run = cycles_run.load(kRelaxed),
+            .state_commits = state_commits.load(kRelaxed),
+            .fast_cycle_passes = fast_cycle_passes.load(kRelaxed)};
+  }
+};
+
 struct CompiledEval::Program {
   std::vector<Instr> instrs;
   std::vector<std::uint32_t> operands;
@@ -150,14 +170,7 @@ struct CompiledEval::Program {
   bool is_sequential = false;  ///< built by compile_sequential
   bool has_settle_regs = false;  ///< any latch / resettable DFF (fixpoint)
   std::uint32_t n_edge_regs = 0;  ///< registers committed at the clock edge
-  // Pass accounting lives on the shared program so every clone of one
-  // compilation aggregates into the same counters (relaxed: they are pure
-  // statistics, one increment per >=64-lane pass).
-  mutable std::atomic<std::uint64_t> fast_passes{0};
-  mutable std::atomic<std::uint64_t> slow_passes{0};
-  mutable std::atomic<std::uint64_t> cycles_run{0};
-  mutable std::atomic<std::uint64_t> state_commits{0};
-  mutable std::atomic<std::uint64_t> fast_cycle_passes{0};
+  mutable KernelCounters counters;  ///< shared by every clone
 };
 
 }  // namespace pp::sim

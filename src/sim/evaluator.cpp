@@ -1507,7 +1507,7 @@ Status CompiledEval::eval_wide(std::span<const std::uint64_t> in_value,
     }
 
     const bool fast = p.fast_path_ok && any_unknown == 0;
-    (fast ? p.fast_passes : p.slow_passes)
+    (fast ? p.counters.fast_passes : p.counters.slow_passes)
         .fetch_add(1, std::memory_order_relaxed);
     if (fast)
       run_one_plane(p.instrs, p.operands.data(), value_.data(), nw);
@@ -1694,8 +1694,9 @@ Status CompiledEval::run_cycles(std::span<const std::uint64_t> in_value,
       }
       const bool fast =
           p.fast_path_ok && any_unknown == 0 && state_unknown == 0;
-      p.cycles_run.fetch_add(1, std::memory_order_relaxed);
-      if (fast) p.fast_cycle_passes.fetch_add(1, std::memory_order_relaxed);
+      p.counters.cycles_run.fetch_add(1, std::memory_order_relaxed);
+      if (fast)
+        p.counters.fast_cycle_passes.fetch_add(1, std::memory_order_relaxed);
 
       // Settle the combinational program with the pre-edge state.
       if (!settle_fixpoint(nw, fast, max_iters))
@@ -1775,7 +1776,8 @@ Status CompiledEval::run_cycles(std::span<const std::uint64_t> in_value,
               qu[w] = nu[w];
             }
         }
-        p.state_commits.fetch_add(p.n_edge_regs, std::memory_order_relaxed);
+        p.counters.state_commits.fetch_add(p.n_edge_regs,
+                                           std::memory_order_relaxed);
 
         // Post-edge settle: the committed state must reach still-open
         // latches and Q-dependent async resets *before* the next cycle's
@@ -1834,22 +1836,11 @@ bool CompiledEval::fast_path_available() const noexcept {
   return program_->fast_path_ok;
 }
 
-CompiledEval::KernelStats CompiledEval::kernel_stats() const noexcept {
-  KernelStats total{program_->fast_passes.load(std::memory_order_relaxed),
-                    program_->slow_passes.load(std::memory_order_relaxed),
-                    program_->cycles_run.load(std::memory_order_relaxed),
-                    program_->state_commits.load(std::memory_order_relaxed),
-                    program_->fast_cycle_passes.load(std::memory_order_relaxed)};
+KernelStats CompiledEval::kernel_stats() const noexcept {
+  KernelStats total = program_->counters.load();
   // A modal engine's sweep runs one image per mode; the counters of every
   // mode's shared program roll up into one view.
-  for (const auto& sub : modal_) {
-    const KernelStats s = sub->kernel_stats();
-    total.fast_passes += s.fast_passes;
-    total.slow_passes += s.slow_passes;
-    total.cycles_run += s.cycles_run;
-    total.state_commits += s.state_commits;
-    total.fast_cycle_passes += s.fast_cycle_passes;
-  }
+  for (const auto& sub : modal_) total += sub->kernel_stats();
   return total;
 }
 

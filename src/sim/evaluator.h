@@ -124,6 +124,59 @@ struct ModeOverride {
   GateKind kind;
 };
 
+/// The engine counters, one schema from kernel to fleet: engines report
+/// them through kernel_stats(), and platform::ExecutorStats,
+/// rt::DeviceStats and rt::PoolStats inherit this struct, so each level
+/// rolls up the one below with `+=`.  Every counter is monotone.
+struct KernelStats {
+  std::uint64_t fast_passes = 0;  ///< single-plane (two-valued) passes
+  std::uint64_t slow_passes = 0;  ///< two-plane passes
+  /// Clock cycles executed by run_cycles (per pass group — one 512-lane
+  /// group running 32 cycles counts 32).
+  std::uint64_t cycles_run = 0;
+  /// Register captures committed at clock edges (edge registers per
+  /// cycle per pass group; latches commit during settling, not here).
+  std::uint64_t state_commits = 0;
+  /// run_cycles cycles that rode the single-plane fast path (inputs and
+  /// register state both free of unknown bits).
+  std::uint64_t fast_cycle_passes = 0;
+  /// Kernel passes (wide passes + clocked cycles) served by JIT-generated
+  /// native code; the interpreter reports 0.
+  std::uint64_t jit_passes = 0;
+  // The JIT build and routing events below are counted by
+  // platform::BatchExecutor; engines report 0.
+  /// JIT kernel builds that invoked the host compiler (a disk-cache miss).
+  std::uint64_t jit_compiles = 0;
+  /// JIT kernel builds satisfied entirely from the shared disk cache.
+  std::uint64_t jit_cache_hits = 0;
+  /// Runs that asked for the JIT (warm requested, Engine::kAuto) but were
+  /// served by another engine — the kernel was still building, or its
+  /// build failed (no host compiler, oversized program).
+  std::uint64_t jit_fallbacks = 0;
+};
+
+/// Every KernelStats counter: the one list its arithmetic walks.
+inline constexpr std::uint64_t KernelStats::*kKernelStatsFields[] = {
+    &KernelStats::fast_passes,       &KernelStats::slow_passes,
+    &KernelStats::cycles_run,        &KernelStats::state_commits,
+    &KernelStats::fast_cycle_passes, &KernelStats::jit_passes,
+    &KernelStats::jit_compiles,      &KernelStats::jit_cache_hits,
+    &KernelStats::jit_fallbacks};
+
+/// Field-wise sum: how each level rolls up the one below.
+inline KernelStats& operator+=(KernelStats& a, const KernelStats& b) noexcept {
+  for (const auto field : kKernelStatsFields) a.*field += b.*field;
+  return a;
+}
+
+/// Field-wise difference of two snapshots: what the window between them
+/// added.
+[[nodiscard]] inline KernelStats operator-(KernelStats a,
+                                           const KernelStats& b) noexcept {
+  for (const auto field : kKernelStatsFields) a.*field -= b.*field;
+  return a;
+}
+
 /// An evaluation engine over a fixed (circuit, input nets, output nets)
 /// binding.  Engines evaluate wide batches of independent vectors packed
 /// bit-parallel; they are stateful only through scratch storage, so
@@ -400,22 +453,9 @@ class CompiledEval final : public Evaluator {
   /// carry no unknown bits.
   [[nodiscard]] bool fast_path_available() const noexcept;
 
-  /// Kernel pass accounting, shared by every clone of one compilation (so
-  /// sharded runs aggregate naturally).  Counters are monotone.
-  struct KernelStats {
-    std::uint64_t fast_passes = 0;  ///< single-plane (two-valued) passes
-    std::uint64_t slow_passes = 0;  ///< two-plane passes
-    /// Clock cycles executed by run_cycles (per pass group — one 512-lane
-    /// group running 32 cycles counts 32).
-    std::uint64_t cycles_run = 0;
-    /// Register captures committed at clock edges (edge registers per
-    /// cycle per pass group; latches commit during settling, not here).
-    std::uint64_t state_commits = 0;
-    /// run_cycles cycles that rode the single-plane fast path (inputs and
-    /// register state both free of unknown bits).
-    std::uint64_t fast_cycle_passes = 0;
-  };
-  /// Snapshot of the pass counters across this engine and all its clones.
+  /// Snapshot of the pass counters across this engine and all its clones
+  /// (shared by every clone of one compilation, so sharded runs aggregate
+  /// naturally); the jit_* fields are 0.
   [[nodiscard]] KernelStats kernel_stats() const noexcept;
 
   /// The compiled instruction stream.  The definition is internal

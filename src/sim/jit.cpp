@@ -557,21 +557,6 @@ struct JitKernel {
   }
 };
 
-struct JitSharedStats {
-  std::atomic<std::uint64_t> fast_passes{0};
-  std::atomic<std::uint64_t> slow_passes{0};
-  std::atomic<std::uint64_t> cycles_run{0};
-  std::atomic<std::uint64_t> state_commits{0};
-  std::atomic<std::uint64_t> fast_cycle_passes{0};
-  void reset() {
-    fast_passes = 0;
-    slow_passes = 0;
-    cycles_run = 0;
-    state_commits = 0;
-    fast_cycle_passes = 0;
-  }
-};
-
 namespace {
 
 /// dlopen `so_path` and validate every exported symbol against the
@@ -636,7 +621,7 @@ namespace {
 
 JitEval::JitEval(std::vector<std::shared_ptr<const JitKernel>> kernels,
                  std::shared_ptr<const JitBuildInfo> info,
-                 std::shared_ptr<JitSharedStats> stats)
+                 std::shared_ptr<KernelCounters> stats)
     : kernels_(std::move(kernels)),
       info_(std::move(info)),
       stats_(std::move(stats)) {
@@ -693,12 +678,10 @@ std::unique_ptr<Evaluator> JitEval::clone() const {
   return std::unique_ptr<Evaluator>(new JitEval(kernels_, info_, stats_));
 }
 
-CompiledEval::KernelStats JitEval::kernel_stats() const noexcept {
-  return {stats_->fast_passes.load(std::memory_order_relaxed),
-          stats_->slow_passes.load(std::memory_order_relaxed),
-          stats_->cycles_run.load(std::memory_order_relaxed),
-          stats_->state_commits.load(std::memory_order_relaxed),
-          stats_->fast_cycle_passes.load(std::memory_order_relaxed)};
+KernelStats JitEval::kernel_stats() const noexcept {
+  KernelStats s = stats_->load();
+  s.jit_passes = s.fast_passes + s.slow_passes + s.cycles_run;
+  return s;
 }
 
 Status JitEval::eval_wide_mode(std::size_t mode,
@@ -1289,7 +1272,7 @@ Result<JitEval> JitEval::build(const CompiledEval& base,
   }
 
   JitEval jit(std::move(kernels), std::make_shared<JitBuildInfo>(info),
-              std::make_shared<JitSharedStats>());
+              std::make_shared<KernelCounters>());
 
   if (options.verify) {
     // Differential gate: deterministic stimulus (X/Z density ~1/8, plus an
@@ -1352,7 +1335,7 @@ Result<JitEval> JitEval::build(const CompiledEval& base,
     }
     // The gate's passes are not traffic: restart the counters so executor
     // stats see only served batches.
-    jit.stats_->reset();
+    jit.stats_ = std::make_shared<KernelCounters>();
     jit.seq_words_ =
         static_cast<std::size_t>(jit.kernels_.front()->program->wide_words);
     if (!jit.kernels_.front()->program->regs.empty()) jit.reset_state();

@@ -78,7 +78,7 @@ struct JitBuildInfo {
 };
 
 struct JitKernel;       // one dlopened mode image (shared across clones)
-struct JitSharedStats;  // pass counters (shared across clones)
+struct KernelCounters;  // pass counters (shared across clones)
 
 /// The generated-code backend.  One JitEval wraps one CompiledEval
 /// program set (mode 0 plus modal images), each served by a dlopened
@@ -147,10 +147,12 @@ class JitEval final : public Evaluator {
   /// reset=true does this implicitly).
   void reset_state();
 
-  /// Kernel pass accounting, shared by every clone of one build — the
-  /// same shape as CompiledEval::KernelStats so executor rollups treat
-  /// the two engines uniformly.
-  [[nodiscard]] CompiledEval::KernelStats kernel_stats() const noexcept;
+  /// Kernel pass accounting, shared by every clone of one build, in the
+  /// interpreter's KernelStats schema so an executor sums the two engines
+  /// with `+=`.  Every pass here is generated code, so jit_passes is the
+  /// sum of the wide passes and clocked cycles; the build and routing
+  /// counters (jit_compiles, jit_cache_hits, jit_fallbacks) are 0.
+  [[nodiscard]] KernelStats kernel_stats() const noexcept;
 
   /// How this kernel set was acquired (cache hit vs fresh compile).
   [[nodiscard]] const JitBuildInfo& build_info() const noexcept {
@@ -160,7 +162,7 @@ class JitEval final : public Evaluator {
  private:
   JitEval(std::vector<std::shared_ptr<const JitKernel>> kernels,
           std::shared_ptr<const JitBuildInfo> info,
-          std::shared_ptr<JitSharedStats> stats);
+          std::shared_ptr<KernelCounters> stats);
 
   [[nodiscard]] Status eval_wide_mode(std::size_t mode,
                                       std::span<const std::uint64_t> in_value,
@@ -173,7 +175,7 @@ class JitEval final : public Evaluator {
 
   std::vector<std::shared_ptr<const JitKernel>> kernels_;  ///< [0] = mode 0
   std::shared_ptr<const JitBuildInfo> info_;
-  std::shared_ptr<JitSharedStats> stats_;
+  std::shared_ptr<KernelCounters> stats_;
   /// Per-mode SoA scratch at fixed stride W (constants pre-broadcast).
   std::vector<std::vector<std::uint64_t>> value_, unknown_;
   std::vector<std::uint64_t> shim_;     ///< eval_packed AoS<->SoA staging

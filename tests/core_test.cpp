@@ -245,14 +245,14 @@ TEST(Fabric, ValidateCatchesAbutmentContention) {
   // input (1,1).
   f.block(1, 0).driver[2] = DriverCfg::kBuffer;
   f.block(0, 1).driver[2] = DriverCfg::kInvert;
-  EXPECT_NE(f.validate(), "");
+  EXPECT_FALSE(f.check().ok());
   EXPECT_THROW(f.elaborate(), std::invalid_argument);
 }
 
 TEST(Fabric, ValidateCatchesLfbAtEdge) {
   Fabric f(1, 1);
   f.block(0, 0).lfb_src[0] = {LfbWhich::kEast, 0};
-  EXPECT_NE(f.validate(), "");
+  EXPECT_FALSE(f.check().ok());
 }
 
 TEST(Fabric, PrimaryInputsOnWestAndNorthBoundary) {

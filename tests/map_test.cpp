@@ -193,8 +193,8 @@ TEST(Netlist, DepthAndCounts) {
 TEST(Router, StraightEastRoute) {
   Fabric f(1, 5);
   Router router(f);
-  const auto res = router.route({0, 0, 3}, {0, 4, 3});
-  ASSERT_TRUE(res.has_value());
+  const auto res = router.try_route({0, 0, 3}, {0, 4, 3});
+  ASSERT_TRUE(res.ok());
   EXPECT_EQ(res->hop_count, 4);
   auto ef = f.elaborate();
   sim::Simulator s(ef.circuit());
@@ -206,7 +206,7 @@ TEST(Router, StraightEastRoute) {
 TEST(Router, DeliversComplementOnRequest) {
   Fabric f(1, 3);
   Router router(f);
-  ASSERT_TRUE(router.route({0, 0, 0}, {0, 2, 1}, /*invert=*/true));
+  ASSERT_TRUE(router.try_route({0, 0, 0}, {0, 2, 1}, /*invert=*/true).ok());
   auto ef = f.elaborate();
   sim::Simulator s(ef.circuit());
   s.set_input(ef.in_line(0, 0, 0), Logic::k1);
@@ -221,8 +221,8 @@ TEST(Router, AvoidsOccupiedRows) {
     f.block(0, 1).xpoint[row][0] = core::BiasLevel::kActive;
   }
   Router router(f);
-  const auto res = router.route({0, 0, 2}, {0, 2, 5});
-  ASSERT_TRUE(res.has_value());
+  const auto res = router.try_route({0, 0, 2}, {0, 2, 5});
+  ASSERT_TRUE(res.ok());
   for (const auto& hop : res->hops)
     if (hop.r == 0 && hop.c == 1) {
       EXPECT_EQ(hop.line, 5);
@@ -235,22 +235,22 @@ TEST(Router, FailsWhenBlocked) {
   for (int row = 0; row < 6; ++row)
     f.block(0, 0).xpoint[row][1] = core::BiasLevel::kActive;
   Router router(f);
-  EXPECT_FALSE(router.route({0, 0, 0}, {0, 1, 0}).has_value());
+  EXPECT_FALSE(router.try_route({0, 0, 0}, {0, 1, 0}).ok());
 }
 
 TEST(Router, NoBackwardRoutes) {
   Fabric f(2, 2);
   Router router(f);
   // Destination is north-west of the source: unreachable by construction.
-  EXPECT_FALSE(router.route({1, 1, 0}, {0, 0, 0}).has_value());
+  EXPECT_FALSE(router.try_route({1, 1, 0}, {0, 0, 0}).ok());
 }
 
 TEST(Router, TwoDisjointRoutes) {
   Fabric f(2, 4);
   Router router(f);
-  const auto r1 = router.route({0, 0, 0}, {0, 3, 0});
-  const auto r2 = router.route({0, 0, 1}, {1, 3, 1});
-  ASSERT_TRUE(r1 && r2);
+  const auto r1 = router.try_route({0, 0, 0}, {0, 3, 0});
+  const auto r2 = router.try_route({0, 0, 1}, {1, 3, 1});
+  ASSERT_TRUE(r1.ok() && r2.ok());
   auto ef = f.elaborate();
   sim::Simulator s(ef.circuit());
   s.set_input(ef.in_line(0, 0, 0), Logic::k1);

@@ -121,8 +121,8 @@ TEST_P(RouterReachabilityTest, RandomSouthEastRoutesDeliver) {
   // Only drive sources on the external boundary.
   map::SignalAt src{sr == 0 ? 0 : sr, sr == 0 ? sc : 0, sl};
   map::Router router(f);
-  const auto res = router.route(src, {dr, dc, dl}, invert);
-  ASSERT_TRUE(res.has_value()) << "seed " << GetParam();
+  const auto res = router.try_route(src, {dr, dc, dl}, invert);
+  ASSERT_TRUE(res.ok()) << "seed " << GetParam();
   auto ef = f.elaborate();
   sim::Simulator s(ef.circuit());
   for (bool v : {true, false}) {

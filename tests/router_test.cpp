@@ -205,15 +205,5 @@ TEST(Router, RowFilterVetoesRows) {
   EXPECT_TRUE(router.try_route({0, 0, 0}, {0, 1, 3}).ok());
 }
 
-TEST(Router, LegacyOptionalShimStillWorks) {
-  Fabric f(1, 3);
-  Router router(f);
-  EXPECT_TRUE(router.route({0, 0, 0}, {0, 2, 1}).has_value());
-  Fabric full(1, 1);
-  fill_block(full, 0, 0);
-  Router blocked(full);
-  EXPECT_FALSE(blocked.route({0, 0, 0}, {0, 1, 0}).has_value());
-}
-
 }  // namespace
 }  // namespace pp::map

@@ -1,13 +1,17 @@
 // rt::DevicePool: pool-of-1 equivalence with a plain Device, affinity
 // routing, hot-design replication, N-device correctness under concurrent
-// submits, cancellation and destructor draining across devices, and the
+// submits, cancellation and destructor draining across devices, the
 // registration contract (idempotency, rebind rejection, sequential
-// designs).
+// designs), and the engine-counter roll-up from sessions to fleet.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <cstdlib>
+#include <filesystem>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "map/netlist.h"
@@ -576,6 +580,103 @@ TEST(RtDevicePool, PoolStatsRollUpDeviceFailuresDistinctFromExpiries) {
             stats.device[0].jobs_failed + stats.device[1].jobs_failed);
   EXPECT_EQ(stats.jobs_expired,
             stats.device[0].jobs_expired + stats.device[1].jobs_expired);
+}
+
+/// The nine engine counters, named for failure messages.  Listed here
+/// rather than read from sim::kKernelStatsFields, so the roll-up checks
+/// below hold the library's own field list to account.
+constexpr std::pair<const char*, std::uint64_t sim::KernelStats::*>
+    kEngineCounters[] = {
+        {"fast_passes", &sim::KernelStats::fast_passes},
+        {"slow_passes", &sim::KernelStats::slow_passes},
+        {"cycles_run", &sim::KernelStats::cycles_run},
+        {"state_commits", &sim::KernelStats::state_commits},
+        {"fast_cycle_passes", &sim::KernelStats::fast_cycle_passes},
+        {"jit_passes", &sim::KernelStats::jit_passes},
+        {"jit_compiles", &sim::KernelStats::jit_compiles},
+        {"jit_cache_hits", &sim::KernelStats::jit_cache_hits},
+        {"jit_fallbacks", &sim::KernelStats::jit_fallbacks},
+};
+
+TEST(RtDevicePool, PoolStatsSumEveryEngineCounterOverDevices) {
+  namespace fs = std::filesystem;
+  const fs::path cache = fs::temp_directory_path() /
+                         ("pp-rt-pool-jit-" + std::to_string(::getpid()));
+  fs::remove_all(cache);
+  ::setenv("PP_JIT_CACHE", cache.c_str(), 1);
+  {
+    const auto parity = compile_or_die(map::make_parity(5));
+    const auto counter = compile_or_die(map::make_counter(2));
+    rt::PoolOptions options;
+    options.device.jit = true;
+    auto pool = rt::DevicePool::create(
+        2, std::max(parity.fabric.rows(), counter.fabric.rows()),
+        std::max(parity.fabric.cols(), counter.fabric.cols()), options);
+    ASSERT_TRUE(pool.ok()) << pool.status().to_string();
+    ASSERT_TRUE(pool->register_design("parity", parity).ok());
+    ASSERT_TRUE(pool->register_design("counter", counter).ok());
+
+    ASSERT_TRUE(pool->run_sync("parity", random_vectors(96, 5, 61)).ok());
+    ASSERT_TRUE(pool->run_sync("counter", random_vectors(2 * 4, 1, 62),
+                               rt::SubmitOptions{.cycles = 4})
+                    .ok());
+    // Without a host compiler the forced JIT job fails; the interpreter
+    // counters must still add up.
+    rt::SubmitOptions forced;
+    forced.run.engine = platform::Engine::kJit;
+    const bool jit_ran =
+        pool->run_sync("parity", random_vectors(96, 5, 63), forced).ok();
+
+    const rt::PoolStats stats = pool->stats();
+    for (const auto& [name, field] : kEngineCounters) {
+      std::uint64_t sum = 0;
+      for (const rt::DeviceStats& d : stats.device) sum += d.*field;
+      EXPECT_EQ(stats.*field, sum) << name;
+    }
+    EXPECT_GT(stats.fast_passes, 0u);
+    EXPECT_GT(stats.cycles_run, 0u);
+    EXPECT_GT(stats.state_commits, 0u);
+    EXPECT_GT(stats.fast_cycle_passes, 0u);
+    if (jit_ran) {
+      EXPECT_GT(stats.jit_passes, 0u);
+      EXPECT_GT(stats.jit_compiles + stats.jit_cache_hits, 0u);
+    }
+  }
+  fs::remove_all(cache);
+}
+
+TEST(RtDevice, DeviceStatsMatchSessionsRunningTheSameBatches) {
+  const auto parity = compile_or_die(map::make_parity(5));
+  const auto counter = compile_or_die(map::make_counter(2));
+  auto device =
+      rt::Device::create(std::max(parity.fabric.rows(), counter.fabric.rows()),
+                         std::max(parity.fabric.cols(), counter.fabric.cols()));
+  ASSERT_TRUE(device.ok()) << device.status().to_string();
+  ASSERT_TRUE(device->load("parity", parity).ok());
+  ASSERT_TRUE(device->load("counter", counter).ok());
+  auto combinational = device->open_session("parity");
+  auto clocked = device->open_session("counter");
+  ASSERT_TRUE(combinational.ok() && clocked.ok());
+
+  const auto vectors = random_vectors(96, 5, 71);
+  const auto streams = random_vectors(2 * 4, 1, 72);
+  ASSERT_TRUE(device->run_sync("parity", vectors).ok());
+  ASSERT_TRUE(
+      device->run_sync("counter", streams, rt::SubmitOptions{.cycles = 4})
+          .ok());
+  ASSERT_TRUE(combinational->run_vectors(vectors).ok());
+  ASSERT_TRUE(clocked->run_cycles(streams, 4).ok());
+
+  // The device folds each job's last_run_stats(); the sessions report
+  // their executors' lifetime totals.  Both views must agree.
+  const rt::DeviceStats dev = device->stats();
+  const platform::ExecutorStats a = combinational->executor_stats();
+  const platform::ExecutorStats b = clocked->executor_stats();
+  for (const auto& [name, field] : kEngineCounters)
+    EXPECT_EQ(dev.*field, a.*field + b.*field) << name;
+  EXPECT_EQ(dev.vectors_run, a.vectors_run + b.vectors_run);
+  EXPECT_GT(dev.fast_passes, 0u);
+  EXPECT_GT(dev.fast_cycle_passes, 0u);
 }
 
 }  // namespace

@@ -165,7 +165,7 @@ TEST(SeqEval, KernelCycleStatsAndFastCycles) {
   ASSERT_TRUE(eval->run_cycles(in.value, in.unknown, got.value, got.unknown,
                                cycles, lanes)
                   .ok());
-  const CompiledEval::KernelStats st = eval->kernel_stats();
+  const KernelStats st = eval->kernel_stats();
   EXPECT_EQ(st.cycles_run, 6u);
   EXPECT_EQ(st.state_commits, 12u);  // 2 edge registers x 6 cycles
   // Cycle 0 starts from X state (two-plane); cycles 1..5 are all-known.
