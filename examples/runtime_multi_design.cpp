@@ -60,7 +60,8 @@ int main() {
     }
   }
 
-  // 4. Collect results (wait() blocks; try_result() would poll).
+  // 4. Collect results (wait() blocks; try_result() would poll).  The
+  //    first call takes the results; a later one reports them taken.
   for (auto& job : jobs) {
     auto result = job.wait();
     if (!result.ok())

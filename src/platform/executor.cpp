@@ -55,15 +55,18 @@ constexpr std::size_t kLanes = sim::Evaluator::kBatchLanes;
     const std::span<std::uint64_t> out_v(out_value.data(),
                                          nout * cycles * words);
     const std::span<std::uint64_t> out_u(out_unknown.data(), out_v.size());
-    std::fill(in_value.begin(), in_value.begin() + in_v.size(), 0);
-    for (std::size_t lane = 0; lane < lanes; ++lane) {
-      const std::size_t word = lane / kLanes;
-      const std::uint64_t bit = std::uint64_t{1} << (lane % kLanes);
-      for (std::size_t c = 0; c < cycles; ++c) {
-        const InputVector& v = stimulus[(s0 + lane) * cycles + c];
-        for (std::size_t j = 0; j < nin; ++j)
-          if (v[j]) in_value[(c * nin + j) * words + word] |= bit;
-      }
+    // Each plane word gathers its (up to) 64 lanes in one accumulator,
+    // branch-free; lanes past the batch end stay zero.
+    for (std::size_t word = 0; word < words; ++word) {
+      const std::size_t l0 = s0 + word * kLanes;
+      const std::size_t n = std::min(kLanes, s0 + lanes - l0);
+      for (std::size_t c = 0; c < cycles; ++c)
+        for (std::size_t j = 0; j < nin; ++j) {
+          std::uint64_t acc = 0;
+          for (std::size_t b = 0; b < n; ++b)
+            acc |= std::uint64_t{stimulus[(l0 + b) * cycles + c][j]} << b;
+          in_value[(c * nin + j) * words + word] = acc;
+        }
     }
     if (Status s =
             clocked ? eval.run_cycles(in_v, in_u, out_v, out_u, cycles, lanes)
@@ -396,11 +399,18 @@ Result<std::vector<BitVector>> BatchExecutor::run_batch(
 std::vector<std::uint8_t> pack_bit_planes(std::span<const BitVector> vectors,
                                           std::size_t width) {
   const std::size_t plane_bytes = (vectors.size() + 7) / 8;
-  std::vector<std::uint8_t> bytes(width * plane_bytes, 0);
-  for (std::size_t v = 0; v < vectors.size(); ++v) {
-    const std::uint8_t bit = static_cast<std::uint8_t>(1u << (v % 8));
-    for (std::size_t i = 0; i < width; ++i)
-      if (vectors[v][i]) bytes[i * plane_bytes + v / 8] |= bit;
+  std::vector<std::uint8_t> bytes(width * plane_bytes);
+  // Each plane byte gathers its (up to) 8 vectors in one accumulator,
+  // branch-free; pad bits past the last vector stay zero.
+  for (std::size_t byte = 0; byte < plane_bytes; ++byte) {
+    const std::size_t v0 = byte * 8;
+    const std::size_t n = std::min<std::size_t>(8, vectors.size() - v0);
+    for (std::size_t i = 0; i < width; ++i) {
+      unsigned acc = 0;
+      for (std::size_t b = 0; b < n; ++b)
+        acc |= unsigned{vectors[v0 + b][i]} << b;
+      bytes[i * plane_bytes + byte] = static_cast<std::uint8_t>(acc);
+    }
   }
   return bytes;
 }

@@ -215,16 +215,11 @@ struct Device::Impl {
         const std::lock_guard<std::mutex> lock(stats_mutex);
         ++stats.jobs_expired;
       }
-      {
-        const std::lock_guard<std::mutex> lock(job.mutex);
-        job.vectors.clear();
-        job.status = Status::deadline_exceeded(
-            "job " + std::to_string(job.id) + ": deadline expired before "
-            "dispatch; the job did not run");
-        job.phase = JobState::Phase::kDone;
-      }
-      job.cv.notify_all();
-      if (job.options.on_terminal) job.options.on_terminal();
+      complete(job,
+               Status::deadline_exceeded(
+                   "job " + std::to_string(job.id) + ": deadline expired "
+                   "before dispatch; the job did not run"),
+               {});
       return;
     }
     // Fault injection (test/soak hook): when no plan is installed this is
@@ -302,9 +297,19 @@ struct Device::Impl {
       const std::lock_guard<std::mutex> lock(stats_mutex);
       ++(status.ok() ? stats.jobs_completed : stats.jobs_failed);
     }
+    complete(job, std::move(status), std::move(results));
+  }
+
+  /// Publish a dispatched job's outcome, wake its waiters and fire its
+  /// hook.  The consumed stimulus is swapped out under the job lock and
+  /// freed only after the waiters are woken, so a large batch's free never
+  /// delays them.
+  static void complete(JobState& job, Status status,
+                       std::vector<BitVector> results) {
+    std::vector<InputVector> consumed;
     {
       const std::lock_guard<std::mutex> lock(job.mutex);
-      job.vectors.clear();
+      consumed.swap(job.vectors);
       job.status = std::move(status);
       job.results = std::move(results);
       job.phase = JobState::Phase::kDone;

@@ -6,13 +6,18 @@ using detail::JobState;
 
 namespace {
 
-/// Terminal-phase outcome as a Result (caller holds the state mutex).
-[[nodiscard]] Result<std::vector<BitVector>> outcome(const JobState& state) {
+/// Terminal-phase outcome as a Result (caller holds the state mutex).  A
+/// successful job hands its results over to the first caller, as
+/// std::future::get does; from then on the job reports them as taken.
+[[nodiscard]] Result<std::vector<BitVector>> take_outcome(JobState& state) {
   if (state.phase == JobState::Phase::kCanceled)
     return Status::failed_precondition("job " + std::to_string(state.id) +
                                        ": canceled before execution");
   if (!state.status.ok()) return state.status;
-  return state.results;
+  state.status = Status::failed_precondition(
+      "job " + std::to_string(state.id) +
+      ": results already taken by an earlier wait() or try_result()");
+  return std::move(state.results);
 }
 
 }  // namespace
@@ -23,7 +28,7 @@ Result<std::vector<BitVector>> Job::wait() {
     return state_->phase == JobState::Phase::kDone ||
            state_->phase == JobState::Phase::kCanceled;
   });
-  return outcome(*state_);
+  return take_outcome(*state_);
 }
 
 std::optional<Result<std::vector<BitVector>>> Job::try_result() {
@@ -31,7 +36,7 @@ std::optional<Result<std::vector<BitVector>>> Job::try_result() {
   if (state_->phase != JobState::Phase::kDone &&
       state_->phase != JobState::Phase::kCanceled)
     return std::nullopt;
-  return outcome(*state_);
+  return take_outcome(*state_);
 }
 
 bool Job::cancel() {

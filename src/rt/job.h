@@ -6,7 +6,9 @@
 // the dispatcher picks it up (`cancel`).  Handles are cheap shared-state
 // references: copying one observes the same job, and a handle outliving its
 // device stays safe (the dispatcher completes or cancels every queued job
-// before the device dies).
+// before the device dies).  A successful job's results are handed over
+// once, as std::future::get does: the first wait() or try_result() through
+// any copy takes them.
 
 /// \file
 /// \brief rt::Job — a future-like handle on one unit of device work.
@@ -85,7 +87,7 @@ struct JobState {
 
   const std::uint64_t id;
   const std::string design;
-  std::vector<InputVector> vectors;  // cleared once consumed by the runner
+  std::vector<InputVector> vectors;  // swapped out once consumed
   const SubmitOptions options;
 
   enum class Phase : std::uint8_t { kQueued, kRunning, kDone, kCanceled };
@@ -93,7 +95,10 @@ struct JobState {
   std::mutex mutex;
   std::condition_variable cv;
   Phase phase = Phase::kQueued;
-  Status status;                   // final status (OK when results valid)
+  // Final status: OK while `results` holds the job's results.  The first
+  // wait()/try_result() to see an OK job moves them out and sets status
+  // to kFailedPrecondition, so results are handed over exactly once.
+  Status status;
   std::vector<BitVector> results;  // valid iff phase==kDone && status.ok()
 };
 
@@ -101,8 +106,8 @@ struct JobState {
 
 /// A future-like handle on one submitted batch of work: block on it
 /// (wait), poll it (try_result), or withdraw it before dispatch (cancel).
-/// Copies are cheap and observe the same job; handles outlive their
-/// device safely.
+/// Copies are cheap and observe the same job, so the results one copy
+/// takes are gone for every other; handles outlive their device safely.
 class Job {
  public:
   /// Default-constructed handles are empty (valid() == false); every other
@@ -120,11 +125,15 @@ class Job {
   }
 
   /// Block until the job finishes, then return its results (or the failure
-  /// Status; a canceled job reports kFailedPrecondition).  Idempotent.
+  /// Status; a canceled job reports kFailedPrecondition).  The results are
+  /// handed over, not copied, as std::future::get does: once this or
+  /// try_result() has returned them through any copy of the handle, later
+  /// calls return kFailedPrecondition.  A failed or canceled job returns
+  /// the same Status on every call.
   [[nodiscard]] Result<std::vector<BitVector>> wait();
 
   /// Non-blocking poll: empty while the job is queued or running, otherwise
-  /// exactly what wait() would return.
+  /// exactly what wait() would return — including taking the results.
   [[nodiscard]] std::optional<Result<std::vector<BitVector>>> try_result();
 
   /// Withdraw the job if the dispatcher has not started it.  Returns true

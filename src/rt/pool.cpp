@@ -429,6 +429,7 @@ struct DevicePool::Impl {
       finish_pending(id);
       return;
     }
+    // Takes the inner job's results: the supervisor holds its only handle.
     auto result = pj->inner.try_result();
     if (!result.has_value()) return;  // unreachable: on_terminal fired
     const bool pass = passthrough.load(std::memory_order_relaxed);

@@ -6,6 +6,7 @@
 #include "sim/jit.h"
 
 #include <dlfcn.h>
+#include <fcntl.h>
 #include <sys/stat.h>
 #include <sys/types.h>
 #include <sys/wait.h>
@@ -395,12 +396,19 @@ enum class OpBase { kBuf, kNot, kAnd, kNand, kOr, kNor, kXor, kXnor, kResolve };
   av.reserve(argv.size() + 1);
   for (const std::string& a : argv) av.push_back(const_cast<char*>(a.c_str()));
   av.push_back(nullptr);
+  const char* out = out_path.empty() ? "/dev/null" : out_path.c_str();
+  const char* err = err_path.empty() ? "/dev/null" : err_path.c_str();
   const pid_t pid = ::fork();
   if (pid < 0) return -1;
   if (pid == 0) {
-    const char* out = out_path.empty() ? "/dev/null" : out_path.c_str();
-    const char* err = err_path.empty() ? "/dev/null" : err_path.c_str();
-    if (!::freopen(out, "w", stdout) || !::freopen(err, "w", stderr))
+    // Redirect at the descriptor level: stdio in the child would flush the
+    // output buffer it inherited (repeating the host's pending stdout) and
+    // take stream locks, which is unsafe after fork in a threaded process.
+    const int flags = O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC;
+    const int out_fd = ::open(out, flags, 0666);
+    const int err_fd = ::open(err, flags, 0666);
+    if (out_fd < 0 || err_fd < 0 || ::dup2(out_fd, STDOUT_FILENO) < 0 ||
+        ::dup2(err_fd, STDERR_FILENO) < 0)
       ::_exit(127);
     ::execvp(av[0], av.data());
     ::_exit(127);

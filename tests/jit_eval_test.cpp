@@ -4,17 +4,22 @@
 // event-simulator oracle on the packed path, sequential run_cycles parity
 // (exact counter sequence plus random clocked fabrics, carried state
 // included), modal eval_modes parity, the no-compiler degradation path,
-// and the BatchExecutor hot-swap with its stats threading.
+// a compiler spawn that leaves the host's pending stdout alone, and the
+// BatchExecutor hot-swap with its stats threading.
 //
 // Every test that invokes the host C compiler is guarded: when the
 // container has no working `cc` the suite skips instead of failing — the
 // production code path under test *is* the graceful degradation.
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
 #include <unistd.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -545,6 +550,49 @@ TEST(JitEval, NoCompilerDegradesCleanly) {
   // The message must tell the operator how to point at a compiler.
   EXPECT_NE(jit.status().message().find("PP_JIT_CC"), std::string::npos)
       << jit.status().to_string();
+}
+
+// ---------- compiler spawn ----------------------------------------------------
+
+TEST(JitEval, CompilerSpawnLeavesPendingStdoutAlone) {
+  SKIP_WITHOUT_HOST_CC();
+  Circuit c;
+  const NetId a = c.add_net("a");
+  c.mark_input(a);
+  const NetId y = c.add_net("y");
+  c.add_gate(GateKind::kBuf, {a}, y);
+  auto interp = CompiledEval::compile(c, {a}, {y});
+  ASSERT_TRUE(interp.ok());
+
+  // Point fd 1 at a file and leave a marker pending in stdout's buffer
+  // while a cold build spawns the compiler.  A child that touched stdio
+  // would flush its inherited copy of the buffer, repeating the marker.
+  static constexpr char kMarker[] = "<pp-jit-spawn-marker>";
+  const std::string capture = fresh_cache_dir("spawn") + "/stdout.txt";
+  std::fflush(stdout);
+  const int saved = ::dup(STDOUT_FILENO);
+  ASSERT_GE(saved, 0);
+  const int fd = ::open(capture.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  ASSERT_GE(fd, 0);
+  ASSERT_GE(::dup2(fd, STDOUT_FILENO), 0);
+  ::close(fd);
+  std::printf("%s", kMarker);
+  auto jit =
+      JitEval::build(*interp, test_options(fresh_cache_dir("spawn-cache")));
+  std::fflush(stdout);
+  ::dup2(saved, STDOUT_FILENO);
+  ::close(saved);
+  ASSERT_TRUE(jit.ok()) << jit.status().to_string();
+  EXPECT_TRUE(jit->build_info().compiled);
+
+  std::ifstream in(capture);
+  const std::string text{std::istreambuf_iterator<char>(in),
+                         std::istreambuf_iterator<char>()};
+  std::size_t markers = 0;
+  for (std::size_t pos = text.find(kMarker); pos != std::string::npos;
+       pos = text.find(kMarker, pos + 1))
+    ++markers;
+  EXPECT_EQ(markers, 1u) << text;
 }
 
 TEST(JitEval, OversizedProgramRefusedBeforeCompilerRuns) {

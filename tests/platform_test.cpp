@@ -2,14 +2,21 @@
 // Session, verified against the behavioural netlist reference.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <filesystem>
 #include <span>
+#include <string>
 
 #include "arch/defects.h"
 #include "core/bitstream.h"
 #include "map/netlist.h"
 #include "platform/compiler.h"
+#include "platform/executor.h"
 #include "platform/report.h"
 #include "platform/session.h"
+#include "sim/circuit.h"
+#include "sim/jit.h"
 #include "util/rng.h"
 
 namespace pp::platform {
@@ -438,6 +445,99 @@ TEST(Session, ExecutorStatsTrackRunsVectorsAndEngine) {
   const std::vector<InputVector> bad(1, InputVector(3));
   EXPECT_FALSE(session->run_vectors(bad).ok());
   EXPECT_EQ(session->executor_stats().runs, 2u);
+}
+
+/// A combinational circuit wider than one 64-bit word: `kWideInputs`
+/// inputs, output k = NOT input k, and a last output holding the parity of
+/// every input.  Each stimulus vector spans two words, so every plane row
+/// of the packer and every result bit of the unpacker is pinned by a
+/// reference the test computes directly.
+constexpr std::size_t kWideInputs = 70;
+
+struct WideCircuit {
+  sim::Circuit c;
+  std::vector<sim::NetId> ins, outs;
+  std::vector<std::string> names;
+
+  WideCircuit() {
+    for (std::size_t i = 0; i < kWideInputs; ++i) {
+      ins.push_back(c.add_net("in" + std::to_string(i)));
+      c.mark_input(ins.back());
+    }
+    for (std::size_t i = 0; i < kWideInputs; ++i) {
+      outs.push_back(c.add_net("not" + std::to_string(i)));
+      c.add_gate(sim::GateKind::kNot, {ins[i]}, outs.back());
+    }
+    sim::NetId parity = ins[0];
+    for (std::size_t i = 1; i < kWideInputs; ++i) {
+      const sim::NetId next = c.add_net("par" + std::to_string(i));
+      c.add_gate(sim::GateKind::kXor, {parity, ins[i]}, next);
+      parity = next;
+    }
+    outs.push_back(parity);
+    for (const sim::NetId n : outs) names.push_back(c.net_name(n));
+  }
+
+  [[nodiscard]] static BitVector expect(const InputVector& in) {
+    BitVector out(kWideInputs + 1);
+    bool parity = false;
+    for (std::size_t i = 0; i < kWideInputs; ++i) {
+      out[i] = !in[i];
+      parity = parity != in[i];
+    }
+    out[kWideInputs] = parity;
+    return out;
+  }
+};
+
+TEST(BatchExecutor, WideInputsAcrossWordAndGranuleBoundaries) {
+  WideCircuit wc;
+  ASSERT_EQ(wc.c.validate(), "");
+  BatchExecutor ex(wc.c, wc.ins, wc.outs, wc.names, {});
+  std::vector<Engine> engines = {Engine::kCompiled, Engine::kEventDriven};
+  sim::JitOptions jit;
+  jit.cache_dir = (std::filesystem::temp_directory_path() /
+                   ("pp-platform-test-" + std::to_string(::getpid())))
+                      .string();
+  jit.extra_cflags = "-O0";
+  ex.warm_jit(jit);
+  if (const Status s = ex.jit_engine_status(); s.ok())
+    engines.push_back(Engine::kJit);
+  else  // no host compiler: the JIT leg is skipped, the rest still runs
+    EXPECT_EQ(s.code(), StatusCode::kUnavailable) << s.to_string();
+
+  util::Rng rng(65);
+  constexpr std::size_t kCycles = 3;
+  for (const std::size_t count : {1u, 63u, 64u, 65u, 511u, 512u, 513u, 1000u}) {
+    std::vector<InputVector> vectors(count * kCycles, InputVector(kWideInputs));
+    for (InputVector& v : vectors)
+      for (std::size_t i = 0; i < kWideInputs; ++i) v[i] = rng.next_bool();
+    const std::span<const InputVector> independent(vectors.data(), count);
+    for (const Engine engine : engines)
+      for (const std::size_t threads : {1u, 4u}) {
+        const RunOptions run{.max_threads = threads, .engine = engine};
+        const std::string where = "count " + std::to_string(count) +
+                                  " engine " +
+                                  std::to_string(static_cast<int>(engine)) +
+                                  " threads " + std::to_string(threads);
+        auto got = ex.run(independent, run);
+        ASSERT_TRUE(got.ok()) << where << ": " << got.status().to_string();
+        ASSERT_EQ(got->size(), count) << where;
+        for (std::size_t v = 0; v < count; ++v)
+          ASSERT_EQ((*got)[v], WideCircuit::expect(vectors[v]))
+              << where << " vector " << v;
+        // The clocked packer lays cycles out as plane rows: `count`
+        // streams of kCycles vectors each, one result per cycle.
+        auto cycles = ex.run_cycles(vectors, kCycles, run);
+        ASSERT_TRUE(cycles.ok()) << where << ": " << cycles.status().to_string();
+        ASSERT_EQ(cycles->size(), vectors.size()) << where;
+        for (std::size_t v = 0; v < vectors.size(); ++v)
+          ASSERT_EQ((*cycles)[v], WideCircuit::expect(vectors[v]))
+              << where << " cycled vector " << v;
+      }
+  }
+  std::error_code ec;
+  std::filesystem::remove_all(jit.cache_dir, ec);
 }
 
 }  // namespace

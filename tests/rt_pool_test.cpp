@@ -90,6 +90,38 @@ TEST(RtDevicePool, PoolOfOneMatchesAPlainDevice) {
   EXPECT_EQ(stats.device[0].jobs_completed, 8u);
 }
 
+TEST(RtDevicePool, PoolJobsHandTheirResultsOverOnce) {
+  const auto adder = compile_or_die(map::make_ripple_adder(3));
+  const auto vectors = random_vectors(1000, 7, 43);
+  const auto expected = serial_reference(adder, vectors);
+  // A plain pool hands out the device's own job; a supervised one (every
+  // job shadow-verified) hands out an outer job the supervisor resolves
+  // from the device job's results.
+  rt::PoolOptions supervised;
+  supervised.verify_sample_rate = 1;
+  for (const rt::PoolOptions& options : {rt::PoolOptions{}, supervised}) {
+    auto pool = rt::DevicePool::create(2, adder.fabric.rows(),
+                                       adder.fabric.cols(), options);
+    ASSERT_TRUE(pool.ok()) << pool.status().to_string();
+    ASSERT_TRUE(pool->register_design("adder", adder).ok());
+    auto job = pool->submit("adder", vectors);
+    ASSERT_TRUE(job.ok()) << job.status().to_string();
+    rt::Job copy = *job;
+    auto first = job->wait();
+    ASSERT_TRUE(first.ok()) << first.status().to_string();
+    EXPECT_EQ(*first, expected);
+    EXPECT_EQ(job->wait().status().code(), StatusCode::kFailedPrecondition);
+    auto polled = copy.try_result();
+    ASSERT_TRUE(polled.has_value());
+    EXPECT_EQ(polled->status().code(), StatusCode::kFailedPrecondition);
+
+    auto sync = pool->run_sync("adder", vectors);
+    ASSERT_TRUE(sync.ok()) << sync.status().to_string();
+    EXPECT_EQ(*sync, expected);
+    EXPECT_EQ(pool->stats().verify_mismatches, 0u);
+  }
+}
+
 TEST(RtDevicePool, ConcurrentSubmitsAcrossDevicesMatchSerialReference) {
   const auto adder = compile_or_die(map::make_ripple_adder(3));
   const auto parity = compile_or_die(map::make_parity(5));

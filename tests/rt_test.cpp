@@ -1,10 +1,11 @@
 // pp::rt device runtime: residency and content dedupe, partial
 // reconfiguration (differential against full bitstream loads), the async
-// job queue (concurrent submission, batching, cancel), and the Session
-// escape hatch for sequential designs.
+// job queue (concurrent submission, batching, cancel, the one-time hand-over
+// of results), and the Session escape hatch for sequential designs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <thread>
 #include <vector>
 
@@ -13,6 +14,7 @@
 #include "platform/compiler.h"
 #include "platform/session.h"
 #include "rt/device.h"
+#include "rt/fault.h"
 #include "rt/queue.h"
 #include "util/rng.h"
 
@@ -343,6 +345,84 @@ TEST(RtDevice, DestructorCancelsQueuedJobsAndWakesWaiters) {
       EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition);
     }
   }
+}
+
+TEST(RtDevice, FirstWaitTakesTheResultsLaterCallsReportThemTaken) {
+  const auto adder = compile_or_die(map::make_ripple_adder(3));
+  auto device = rt::Device::create(adder.fabric.rows(), adder.fabric.cols());
+  ASSERT_TRUE(device.ok());
+  ASSERT_TRUE(device->load("adder", adder).ok());
+  const auto vectors = random_vectors(1000, 7, 41);
+  const auto expected = serial_reference(adder, vectors);
+
+  // The first wait() takes the full result set, as std::future::get does;
+  // a second wait() and a poll through a copy of the handle report it gone.
+  auto job = device->submit("adder", vectors);
+  ASSERT_TRUE(job.ok());
+  rt::Job copy = *job;
+  auto first = job->wait();
+  ASSERT_TRUE(first.ok()) << first.status().to_string();
+  EXPECT_EQ(*first, expected);
+  EXPECT_EQ(job->wait().status().code(), StatusCode::kFailedPrecondition);
+  auto polled = copy.try_result();
+  ASSERT_TRUE(polled.has_value());
+  EXPECT_EQ(polled->status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_TRUE(copy.done());
+  EXPECT_FALSE(copy.canceled());
+
+  // A poll that finds the job done takes the results the same way.
+  auto polled_job = device->submit("adder", vectors);
+  ASSERT_TRUE(polled_job.ok());
+  device->drain();
+  auto taken = polled_job->try_result();
+  ASSERT_TRUE(taken.has_value());
+  ASSERT_TRUE(taken->ok()) << taken->status().to_string();
+  EXPECT_EQ(**taken, expected);
+  EXPECT_EQ(polled_job->wait().status().code(),
+            StatusCode::kFailedPrecondition);
+
+  auto sync = device->run_sync("adder", vectors);
+  ASSERT_TRUE(sync.ok()) << sync.status().to_string();
+  EXPECT_EQ(*sync, expected);
+}
+
+TEST(RtDevice, FailedAndCanceledJobsReportTheSameStatusOnEveryCall) {
+  const auto parity = compile_or_die(map::make_parity(5));
+  auto device = rt::Device::create(parity.fabric.rows(), parity.fabric.cols());
+  ASSERT_TRUE(device.ok());
+  ASSERT_TRUE(device->load("parity", parity).ok());
+  const auto vectors = random_vectors(64, 5, 42);
+
+  const auto expect_repeats = [](rt::Job job, StatusCode code) {
+    rt::Job copy = job;
+    const auto first = job.wait();
+    ASSERT_FALSE(first.ok());
+    EXPECT_EQ(first.status().code(), code) << first.status().to_string();
+    EXPECT_EQ(job.wait().status().to_string(), first.status().to_string());
+    auto polled = copy.try_result();
+    ASSERT_TRUE(polled.has_value());
+    EXPECT_EQ(polled->status().to_string(), first.status().to_string());
+  };
+
+  rt::FaultPlan death;
+  death.events.push_back({.at_job = 1, .kind = rt::FaultKind::kDeath});
+  device->install_fault_plan(death);
+  auto failed = device->submit("parity", vectors);
+  ASSERT_TRUE(failed.ok());
+  expect_repeats(*failed, StatusCode::kUnavailable);
+
+  // Wedge the dispatcher so the next job is still queued when canceled.
+  rt::FaultPlan wedge;
+  wedge.events.push_back({.at_job = 1, .kind = rt::FaultKind::kTimeout});
+  wedge.timeout_hold = std::chrono::milliseconds(250);
+  device->install_fault_plan(wedge);
+  auto wedged = device->submit("parity", vectors);
+  ASSERT_TRUE(wedged.ok());
+  auto victim = device->submit("parity", vectors);
+  ASSERT_TRUE(victim.ok());
+  ASSERT_TRUE(victim->cancel());
+  expect_repeats(*victim, StatusCode::kFailedPrecondition);
+  expect_repeats(*wedged, StatusCode::kUnavailable);
 }
 
 TEST(RtDevice, RejectsDesignsLargerThanTheArray) {

@@ -577,7 +577,15 @@ TEST(ServeProtocol, BitPlanePackingRoundTripsAndRejectsNonCanonicalBytes) {
       for (auto& v : vectors)
         for (std::size_t i = 0; i < width; ++i) v[i] = rng.next_bool();
       const auto bytes = platform::pack_bit_planes(vectors, width);
-      EXPECT_EQ(bytes.size(), width * ((count + 7) / 8));
+      const std::size_t plane_bytes = (count + 7) / 8;
+      EXPECT_EQ(bytes.size(), width * plane_bytes);
+      // The layout itself, bit for bit: vector v's bit i is bit v % 8 of
+      // byte v / 8 of plane i, and every pad bit is zero.
+      for (std::size_t i = 0; i < width; ++i)
+        for (std::size_t v = 0; v < plane_bytes * 8; ++v)
+          EXPECT_EQ((bytes[i * plane_bytes + v / 8] >> (v % 8)) & 1,
+                    v < count && vectors[v][i] ? 1 : 0)
+              << "plane " << i << " bit " << v;
       auto back = platform::unpack_bit_planes(bytes, count, width);
       ASSERT_TRUE(back.ok()) << back.status().to_string();
       EXPECT_EQ(*back, vectors);
