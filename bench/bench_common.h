@@ -11,6 +11,8 @@
 // every table cell.
 #pragma once
 
+#include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -134,6 +136,36 @@ inline void experiment_header(const std::string& id,
                               const std::string& paper_claim) {
   util::banner(id);
   std::printf("paper: %s\n\n", paper_claim.c_str());
+}
+
+/// Milliseconds per call of `run`, timed the same way for every engine a
+/// bench compares: one untimed warm-up call, then the median of `samples`
+/// samples, each summing back-to-back calls until they span at least
+/// `min_sample_ms` — a ~10-µs kernel is sampled over hundreds of calls, a
+/// ~30-ms one over one call.  `check` (untimed) runs after every call,
+/// warm-up included; a failed call or check makes the result -1.
+template <class Run, class Check>
+double median_call_ms(Run&& run, Check&& check, double min_sample_ms,
+                      int samples = 5) {
+  using Clock = std::chrono::steady_clock;
+  bool ok = run() && check();
+  std::vector<double> per_call;
+  for (int s = 0; s < samples && ok; ++s) {
+    double ms = 0;
+    int calls = 0;
+    do {
+      const auto t0 = Clock::now();
+      ok = run();
+      ms += std::chrono::duration<double, std::milli>(Clock::now() - t0)
+                .count();
+      ok = ok && check();
+      ++calls;
+    } while (ok && ms < min_sample_ms);
+    per_call.push_back(ms / calls);
+  }
+  if (!ok) return -1;
+  std::sort(per_call.begin(), per_call.end());
+  return per_call[per_call.size() / 2];
 }
 
 /// Print the REPRODUCED/DIVERGENT verdict and record it as the bench's

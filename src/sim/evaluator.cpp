@@ -269,6 +269,13 @@ namespace {
   }
 }
 
+/// Whether a one-input gate of this op complements its input: NOT, NAND,
+/// NOR and XNOR do; BUF, AND, OR and XOR pass it through.
+[[nodiscard]] bool inverts(Op op) {
+  return op == Op::kNot || op == Op::kNand || op == Op::kNor ||
+         op == Op::kXnor;
+}
+
 }  // namespace
 
 // Op / Instr / SeqReg / CompiledEval::Program moved to
@@ -583,6 +590,7 @@ Result<std::shared_ptr<CompiledEval::Program>> CompiledEval::compile_impl(
     Op op = Op::kBuf;            // when varying
     std::vector<NetId> srcs;     // nets read when varying
     std::uint32_t slot = kNoSlot;  // destination slot once emitted
+    bool inv = false;            // reads as the complement of `slot`
     bool needed = false;
   };
   struct NetRec {
@@ -592,6 +600,7 @@ Result<std::shared_ptr<CompiledEval::Program>> CompiledEval::compile_impl(
     Logic cpart = Logic::kZ;          // constant resolution participant
     std::vector<GateId> vdrivers;     // varying drivers
     std::uint32_t slot = kNoSlot;
+    bool inv = false;                 // reads as the complement of `slot`
     bool needed = false;
   };
   std::vector<GateRec> grec(ngates);
@@ -769,24 +778,48 @@ Result<std::shared_ptr<CompiledEval::Program>> CompiledEval::compile_impl(
         {op, static_cast<std::uint32_t>(operands.size()), ofs, out});
   };
 
+  // The slot holding (slot, inv): the slot itself, or its complement — one
+  // kNot per source slot, emitted at its first reader and shared by the rest.
+  std::vector<std::uint32_t> not_slot;
+  auto read = [&](std::uint32_t slot, bool inv) {
+    if (!inv) return slot;
+    if (slot >= not_slot.size()) not_slot.resize(slot + 1, kNoSlot);
+    if (not_slot[slot] == kNoSlot) {
+      not_slot[slot] = new_slot({});
+      emit(Op::kNot, {&slot, 1}, not_slot[slot]);
+    }
+    return not_slot[slot];
+  };
+  auto read_net = [&](NetId n) { return read(net_slot(n), nrec[n].inv); };
+
   for (const GateId g : lm->order) {
     GateRec& gr = grec[g];
     if (!gr.needed) continue;
     const NetId out = circuit.gate(g).output;
     NetRec& onet = nrec[out];
     const bool multi = onet.vdrivers.size() > 1 || onet.cpart != Logic::kZ;
-    std::vector<std::uint32_t> operands;
-    operands.reserve(gr.srcs.size());
-    for (NetId src : gr.srcs) operands.push_back(net_slot(src));
-    if (options.optimize && gr.op == Op::kBuf && operands.size() == 1 &&
+    if (options.optimize && gr.srcs.size() == 1 &&
         (multi || onet.slot == kNoSlot)) {
-      // Copy-propagation: a buffer (or buf-shaped always-on driver) is a
-      // slot alias, not an instruction — readers (and the wire-resolution
-      // below) pick up the source slot directly.  The packed encoding
-      // makes the alias exact: a buffer copies both planes verbatim.
-      gr.slot = operands[0];
-      if (!multi) onet.slot = gr.slot;
+      // Copy-propagation: a one-input gate (BUF, NOT, a buf- or inv-shaped
+      // always-on driver, one-pin AND/OR/XOR/NAND/NOR/XNOR) is an alias of
+      // its source slot, complemented when the gate inverts — readers (and
+      // the wire-resolution below) pick it up through read().  Exact on
+      // canonical planes (value 0 where unknown), which every pass keeps:
+      // inputs are canonicalized at load and every two-plane op writes
+      // canonical planes.  There NOT(NOT(x)) == x and each one-pin gate is
+      // BUF or NOT, X included, so a feed-through hop's inverter pair
+      // becomes no code.
+      const NetId src = gr.srcs[0];
+      gr.slot = net_slot(src);
+      gr.inv = nrec[src].inv != inverts(gr.op);
+      if (!multi) {
+        onet.slot = gr.slot;
+        onet.inv = gr.inv;
+      }
     } else {
+      std::vector<std::uint32_t> operands;
+      operands.reserve(gr.srcs.size());
+      for (NetId src : gr.srcs) operands.push_back(read_net(src));
       gr.slot = multi ? new_slot({}) : net_slot(out);
       emit(options.optimize ? specialize_arity(gr.op, operands.size())
                             : gr.op,
@@ -797,14 +830,15 @@ Result<std::shared_ptr<CompiledEval::Program>> CompiledEval::compile_impl(
       // constant co-driver, if any) into the net's slot before any reader.
       std::vector<std::uint32_t> rops;
       rops.reserve(onet.vdrivers.size() + 1);
-      for (GateId d : onet.vdrivers) rops.push_back(grec[d].slot);
+      for (GateId d : onet.vdrivers)
+        rops.push_back(read(grec[d].slot, grec[d].inv));
       if (onet.cpart != Logic::kZ) rops.push_back(new_slot(broadcast(onet.cpart)));
       emit(Op::kResolve, rops, net_slot(out));
     }
   }
 
   program->out_slots.reserve(out_nets.size());
-  for (NetId n : out_nets) program->out_slots.push_back(net_slot(n));
+  for (NetId n : out_nets) program->out_slots.push_back(read_net(n));
 
   // --- Pass D: level-major slot renumbering (cache locality). --------------
   if (options.optimize)

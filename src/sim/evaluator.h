@@ -19,11 +19,12 @@
 //    circuit, constant-folds configuration structure (3-state drivers with
 //    constant enables, the fabric's const-1 rows), dead-code-eliminates the
 //    cone outside the observed outputs, optimizes the remaining program
-//    (buffer copy-propagation by slot aliasing, fixed-arity 2/3-input
-//    opcode specialization, level-major slot renumbering), and flattens it
-//    into a contiguous instruction array evaluated W words — W*64 vectors —
-//    at a time with bitwise word ops.  Alongside the two-plane program it
-//    derives a *two-valued* single-plane interpretation: when the program
+//    (polarity-aware copy-propagation of one-input gates by slot
+//    aliasing, fixed-arity 2/3-input opcode specialization, level-major
+//    slot renumbering), and flattens it into a contiguous instruction
+//    array evaluated W words — W*64 vectors — at a time with bitwise word
+//    ops.  Alongside the two-plane program it derives a *two-valued*
+//    single-plane interpretation: when the program
 //    has no wired-resolution and no constant-unknown source feeding the
 //    live cone, a batch whose inputs carry no X/Z runs a value-plane-only
 //    kernel with half the memory traffic.  Circuits it cannot model —
@@ -282,9 +283,11 @@ class CompiledEval final : public Evaluator {
     /// unknown bits run a value-plane-only kernel when the program is
     /// eligible (no wired-resolution, no constant-unknown source).
     bool two_valued = true;
-    /// Program optimization passes: buffer copy-propagation via slot
-    /// aliasing, fixed-arity 2/3-input opcode specialization, and
-    /// level-major slot renumbering.
+    /// Program optimization passes: copy-propagation of one-input gates
+    /// via polarity-aware slot aliasing (BUF-like gates alias their
+    /// source, NOT-like gates its complement, which one shared kNot per
+    /// source slot materializes for readers that need it), fixed-arity
+    /// 2/3-input opcode specialization, and level-major slot renumbering.
     bool optimize = true;
   };
 

@@ -1,12 +1,15 @@
 // sim::Evaluator engines: levelization, the bit-parallel CompiledEval
-// backend, and the differential property test pitting it against the
-// settled event-driven Simulator — bit-for-bit, X propagation included.
+// backend and its program passes (constant folding, polarity-aware
+// copy-propagation), and the differential property test pitting it
+// against the settled event-driven Simulator — bit-for-bit, X propagation
+// included.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <string>
 #include <vector>
 
+#include "fold_circuits.h"
 #include "sim/circuit.h"
 #include "sim/evaluator.h"
 #include "sim/logic.h"
@@ -549,6 +552,48 @@ TEST(CompiledEval, BufferChainCopyPropagation) {
   EXPECT_EQ(a_out[0], b_out[0]);
   EXPECT_EQ(get_lane(a_out[0], 0), Logic::k1);
   EXPECT_EQ(get_lane(a_out[0], 2), Logic::kX);
+}
+
+TEST(CompiledEval, PolarityFoldChainsResolveAndRegisterTaps) {
+  // Inverter chains of both parities, a wired net with an inverted-alias
+  // driver and a register D tap behind an odd chain (tests/fold_circuits.h).
+  // The exact counts leave room for one kNot per inverted source slot, so
+  // every later reader of that slot must share it; the optimize=false
+  // program keeps every gate.  Both planes of every configuration equal
+  // the event oracle, on X/Z stimulus and on all-known stimulus (the
+  // two-valued fast path).
+  util::Rng rng(20261019);
+  for (const fold_test::FoldCase& f : fold_test::fold_cases()) {
+    SCOPED_TRACE(f.name);
+    ASSERT_EQ(f.c.validate(), "");
+    const CompiledEval::CompileOptions configs[] = {
+        {},
+        {.wide_words = 1},
+        {.wide_words = 1, .two_valued = false, .optimize = false},
+    };
+    std::vector<CompiledEval> engines;
+    for (const auto& cfg : configs) {
+      auto eval = fold_test::compile(f, cfg);
+      ASSERT_TRUE(eval.ok()) << eval.status().to_string();
+      EXPECT_EQ(eval->instruction_count(),
+                cfg.optimize ? f.folded : f.unfolded);
+      engines.push_back(std::move(*eval));
+    }
+    const std::size_t cycles = f.regs.empty() ? 1 : 6;
+    for (const bool unknowns : {true, false}) {
+      SCOPED_TRACE(unknowns ? "X/Z stimulus" : "known stimulus");
+      // 150 lanes: three plane words, the last one partial.
+      const auto s =
+          fold_test::make_stimulus(f.ins.size(), cycles, 150, unknowns, rng);
+      const fold_test::Planes want = fold_test::reference(f, s);
+      for (CompiledEval& e : engines) EXPECT_EQ(fold_test::run(e, f, s), want);
+      if (f.regs.empty()) {
+        auto ev = EventEval::create(f.c, f.ins, f.outs);
+        ASSERT_TRUE(ev.ok()) << ev.status().to_string();
+        EXPECT_EQ(fold_test::run(*ev, f, s), want);
+      }
+    }
+  }
 }
 
 TEST(CompiledEvalWide, StrideSwitchesPreserveConstantSlots) {

@@ -3,7 +3,8 @@
 // (X/Z stimulus, partial-tail lanes, both planes bit-for-bit), the settled
 // event-simulator oracle on the packed path, sequential run_cycles parity
 // (exact counter sequence plus random clocked fabrics, carried state
-// included), modal eval_modes parity, the no-compiler degradation path,
+// included), modal eval_modes parity, the hand-built polarity-fold
+// circuits against the event oracle, the no-compiler degradation path,
 // a compiler spawn that leaves the host's pending stdout alone, and the
 // BatchExecutor hot-swap with its stats threading.
 //
@@ -23,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "fold_circuits.h"
 #include "platform/executor.h"
 #include "sim/circuit.h"
 #include "sim/evaluator.h"
@@ -237,6 +239,32 @@ TEST(JitEval, DifferentialAgainstInterpreter150Circuits) {
     }
   }
   EXPECT_EQ(jitted, 150);
+}
+
+TEST(JitEval, PolarityFoldCircuitsMatchOracle) {
+  // The hand-built fold circuits (tests/fold_circuits.h) through the
+  // native kernel: inverted aliases reach the JIT as cached kNots, so the
+  // kernel must equal the event oracle and the interpreter on both planes.
+  SKIP_WITHOUT_HOST_CC();
+  const std::string dir = fresh_cache_dir("fold");
+  util::Rng rng(20261020);
+  for (const fold_test::FoldCase& f : fold_test::fold_cases()) {
+    SCOPED_TRACE(f.name);
+    auto base = fold_test::compile(f, {});
+    ASSERT_TRUE(base.ok()) << base.status().to_string();
+    EXPECT_EQ(base->instruction_count(), f.folded);
+    auto jit = JitEval::build(*base, test_options(dir));
+    ASSERT_TRUE(jit.ok()) << jit.status().to_string();
+    const std::size_t cycles = f.regs.empty() ? 1 : 6;
+    for (const bool unknowns : {true, false}) {
+      SCOPED_TRACE(unknowns ? "X/Z stimulus" : "known stimulus");
+      const auto s =
+          fold_test::make_stimulus(f.ins.size(), cycles, 150, unknowns, rng);
+      const fold_test::Planes want = fold_test::reference(f, s);
+      EXPECT_EQ(fold_test::run(*jit, f, s), want);
+      EXPECT_EQ(fold_test::run(*base, f, s), want);
+    }
+  }
 }
 
 TEST(JitEval, InBuildVerificationGateAndClone) {

@@ -88,6 +88,50 @@ TEST(Compiler, GoldenCompileOutputs) {
   }
 }
 
+TEST(Compiler, GoldenProgramSizes) {
+  // The interpreter program each design runs once resident: the elaborated
+  // fabric's live cone after constant folding and polarity-aware
+  // copy-propagation, which folds every feed-through hop's inverter pair
+  // away.  Boundary registers close as external register loops, as in a
+  // Session.
+  const struct {
+    const char* name;
+    map::Netlist netlist;
+    std::size_t instructions;
+  } cases[] = {
+      {"parity8", map::make_parity(8), 35},
+      {"mux4", map::make_mux4(), 9},
+      {"adder4", map::make_ripple_adder(4), 52},
+      {"adder8", map::make_ripple_adder(8), 104},
+      {"counter4", map::make_counter(4), 23},
+      {"adder16", map::make_ripple_adder(16), 208},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    auto design = compile(c.netlist);
+    ASSERT_TRUE(design.ok()) << design.status().to_string();
+    auto elab = design->fabric.try_elaborate(design->delays);
+    ASSERT_TRUE(elab.ok()) << elab.status().to_string();
+    const auto line = [&](const map::SignalAt& at) {
+      return elab->in_line(at.r, at.c, at.line);
+    };
+    std::vector<sim::NetId> ins, outs;
+    for (const PortBinding& p : design->inputs) ins.push_back(line(p.at));
+    for (const PortBinding& p : design->outputs) outs.push_back(line(p.at));
+    std::vector<sim::ExternalReg> regs;
+    for (const StateBinding& sb : design->state)
+      regs.push_back({line(sb.q_pad), line(sb.d_at), sim::Logic::k0});
+    auto engine =
+        regs.empty()
+            ? sim::CompiledEval::compile(elab->circuit(), ins, outs,
+                                         &design->levels)
+            : sim::CompiledEval::compile_sequential(elab->circuit(), ins, outs,
+                                                    regs, &design->levels);
+    ASSERT_TRUE(engine.ok()) << engine.status().to_string();
+    EXPECT_EQ(engine->instruction_count(), c.instructions);
+  }
+}
+
 TEST(Compiler, RippleAdder2ExhaustiveSerial) {
   const auto nl = map::make_ripple_adder(2);
   auto design = compile(nl);
