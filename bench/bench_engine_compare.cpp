@@ -9,8 +9,9 @@
 //    vectors on the 16-bit datapath), wide SoA kernel vs the PR 2 scalar
 //    64-lane kernel ({wide_words=1, two_valued=false, optimize=false}),
 //    outputs bit-identical.
-// It also records each datapath's platform::compile time (median of 3),
-// its warm whole-batch run_vectors throughput (pack, kernel, unpack,
+// It also records each datapath's platform::compile and Session::load times
+// (median of 3 each), its warm whole-batch run_vectors throughput (pack,
+// kernel, unpack,
 // sharding), single-thread and sharded, and the 16-bit datapath's cold JIT
 // build time.  Kernels are timed as the median of 5 samples of >= 2 ms.
 #include <unistd.h>
@@ -90,7 +91,8 @@ int main(int argc, char** argv) {
               util::global_pool().worker_count());
 
   util::Table t("fig10 datapath batch throughput (2048 vectors)");
-  t.header({"bits", "compile (ms)", "instrs", "levels", "event (ms)",
+  t.header({"bits", "compile (ms)", "load (ms)", "instrs", "levels",
+            "event (ms)",
             "compiled (ms)", "speedup", "compiled vec/s", "sharded vec/s",
             "match"});
 
@@ -113,9 +115,22 @@ int main(int argc, char** argv) {
       return std::printf("%s\n", design.status().to_string().c_str()), 1;
     std::sort(compile_ms.begin(), compile_ms.end());
     bench::record("compile_ms_adder" + std::to_string(bits), compile_ms[1]);
-    auto session = platform::Session::load(*design);
+    // Session::load: decode, elaborate, settle the event simulator.
+    std::vector<double> load_ms;
+    auto timed_load = [&] {
+      const auto t0 = std::chrono::steady_clock::now();
+      auto loaded = platform::Session::load(*design);
+      load_ms.push_back(std::chrono::duration<double, std::milli>(
+                            std::chrono::steady_clock::now() - t0)
+                            .count());
+      return loaded;
+    };
+    auto session = timed_load();
+    for (int rep = 1; rep < 3 && session.ok(); ++rep) session = timed_load();
     if (!session.ok())
       return std::printf("%s\n", session.status().to_string().c_str()), 1;
+    std::sort(load_ms.begin(), load_ms.end());
+    bench::record("load_ms_adder" + std::to_string(bits), load_ms[1]);
     if (const Status s = session->compiled_engine_status(); !s.ok())
       return std::printf("compiled engine: %s\n", s.to_string().c_str()), 1;
 
@@ -169,7 +184,7 @@ int main(int argc, char** argv) {
         }(),
         &design->levels);
     t.row({util::Table::num(static_cast<long long>(bits)),
-           util::Table::num(compile_ms[1], 1),
+           util::Table::num(compile_ms[1], 1), util::Table::num(load_ms[1], 1),
            util::Table::num(static_cast<long long>(
                probe.ok() ? probe->instruction_count() : 0)),
            util::Table::num(static_cast<long long>(

@@ -5,8 +5,10 @@
 // The pipeline is a raw sim::Circuit (no fabric involved), so it rides the
 // platform API through Session::from_circuit — the session owns the
 // simulator; the async harness drives the handshake on it directly.
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <vector>
 
 #include "async/micropipeline.h"
 #include "platform/session.h"
@@ -52,9 +54,16 @@ int main() {
   for (auto v : stats.received_values)
     std::printf("%llu ", static_cast<unsigned long long>(v));
   std::printf("\n");
+  // The source sends 1, 2, ..., 16; a FIFO delivers exactly those, in order.
+  std::vector<std::uint64_t> sent(16);
+  for (std::size_t i = 0; i < sent.size(); ++i) sent[i] = i + 1;
+  if (stats.received_values != sent)
+    return std::printf("MISMATCH: delivered values differ from 1..16\n"), 1;
 
   std::ofstream vcd("micropipeline.vcd");
   vcd << wf.to_vcd("micropipeline");
+  if (!vcd.flush())
+    return std::printf("could not write micropipeline.vcd\n"), 1;
   std::printf("handshake trace written to micropipeline.vcd (%zu changes)\n",
               wf.changes().size());
   return 0;

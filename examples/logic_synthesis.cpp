@@ -7,7 +7,9 @@
 //      chains + feed-through ladder).
 //   3. Static timing of both, cross-checked against simulation.
 #include <bit>
+#include <cstdint>
 #include <cstdio>
+#include <string>
 
 #include "core/timing.h"
 #include "map/lut4.h"
@@ -36,17 +38,27 @@ int main() {
        {"nor", pla.outputs[2]}});
   if (!psession.ok())
     return std::printf("%s\n", psession.status().to_string().c_str()), 1;
+  // Every row is checked against the truth tables the PLA was built from;
+  // an X output or a wrong bit is a mismatch.
+  int mismatches = 0;
+  const auto read = [&](const platform::Session& s, const std::string& port,
+                        bool want) {
+    const auto got = s.peek_bool(port);
+    if (!got.ok() || *got != want) ++mismatches;
+    return got.value_or(false);
+  };
   std::printf(" cba | maj and nor\n-----+------------\n");
   for (int input = 0; input < 8; ++input) {
     (void)psession->poke("a", input & 1);
     (void)psession->poke("b", (input >> 1) & 1);
     (void)psession->poke("c", (input >> 2) & 1);
     (void)psession->settle();
+    const auto i = static_cast<std::uint8_t>(input);
     std::printf(" %d%d%d |  %d   %d   %d\n", (input >> 2) & 1,
                 (input >> 1) & 1, input & 1,
-                int(psession->peek_bool("maj").value_or(false)),
-                int(psession->peek_bool("and").value_or(false)),
-                int(psession->peek_bool("nor").value_or(false)));
+                int(read(*psession, "maj", maj.eval(i))),
+                int(read(*psession, "and", and3.eval(i))),
+                int(read(*psession, "nor", nor3.eval(i))));
   }
 
   // ---- 2. Shannon-decomposed LUT4 ----------------------------------------
@@ -74,9 +86,14 @@ int main() {
     }
     (void)lsession->poke("x3", (v >> 3) & 1);
     (void)lsession->settle();
-    if (lsession->peek_bool("f").value_or(false)) std::printf(" %d", v);
+    if (read(*lsession, "f", prime.eval(static_cast<std::uint8_t>(v))))
+      std::printf(" %d", v);
   }
   std::printf("\n");
+  if (mismatches != 0)
+    return std::printf("MISMATCH: %d outputs differ from the truth tables\n",
+                       mismatches),
+           1;
 
   // ---- 3. Static timing --------------------------------------------------
   const auto pt = core::analyze_timing(psession->circuit());

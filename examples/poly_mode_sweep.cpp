@@ -9,6 +9,7 @@
 //      the whole design into one mode-aware Session.
 //   4. Sweep both modes over all input rows in a single batch and print
 //      the per-mode truth tables.
+#include <cstdint>
 #include <cstdio>
 #include <vector>
 
@@ -84,5 +85,16 @@ int main() {
                 int((*swept)[r][0]), int((*swept)[rows.size() + r][0]));
   std::printf("\nthe fabric never reconfigured between the two columns — "
               "the environment is the mode selector.\n");
+  // Row r drives a, b, c = bits 0, 1, 2 of r: truth-table entry r.
+  int mismatches = 0;
+  for (std::size_t m = 0; m < spec.modes.size(); ++m)
+    for (std::size_t r = 0; r < rows.size(); ++r)
+      if ((*swept)[m * rows.size() + r][0] !=
+          spec.modes[m].eval(static_cast<std::uint8_t>(r)))
+        ++mismatches;
+  if (mismatches != 0)
+    return std::printf("MISMATCH: %d swept outputs differ from the spec\n",
+                       mismatches),
+           1;
   return 0;
 }

@@ -18,9 +18,12 @@ int main() {
   using namespace pp;
 
   // 1. Compile the mixed workload: three designs with different shapes.
-  auto adder = platform::compile(map::make_ripple_adder(8));
-  auto parity = platform::compile(map::make_parity(10));
-  auto mux = platform::compile(map::make_mux4());
+  const map::Netlist adder_nl = map::make_ripple_adder(8);
+  const map::Netlist parity_nl = map::make_parity(10);
+  const map::Netlist mux_nl = map::make_mux4();
+  auto adder = platform::compile(adder_nl);
+  auto parity = platform::compile(parity_nl);
+  auto mux = platform::compile(mux_nl);
   if (!adder.ok() || !parity.ok() || !mux.ok())
     return std::printf("compile failed\n"), 1;
 
@@ -50,25 +53,40 @@ int main() {
       for (std::size_t i = 0; i < width; ++i) vec[i] = rng.next_bool();
     return v;
   };
-  std::vector<rt::Job> jobs;
+  struct Submitted {
+    rt::Job job;
+    const map::Netlist* netlist;
+    std::vector<platform::InputVector> stimulus;
+  };
+  std::vector<Submitted> jobs;
   for (int round = 0; round < 8; ++round) {
-    for (const auto& [name, width] :
-         {std::pair<const char*, std::size_t>{"adder8", 17},
-          {"parity10", 10}, {"mux4", 6}}) {
-      auto job = pool->submit(name, vectors(256, width));
+    for (const auto& [name, netlist] :
+         {std::pair{"adder8", &adder_nl}, {"parity10", &parity_nl},
+          {"mux4", &mux_nl}}) {
+      auto stimulus = vectors(256, netlist->inputs().size());
+      auto job = pool->submit(name, stimulus);
       if (!job.ok())
         return std::printf("%s\n", job.status().to_string().c_str()), 1;
-      jobs.push_back(*job);
+      jobs.push_back({*job, netlist, std::move(stimulus)});
     }
   }
-  for (auto& job : jobs) {
+  // Every result must equal the source netlist's own evaluation.
+  std::size_t mismatches = 0;
+  for (auto& [job, netlist, stimulus] : jobs) {
     auto result = job.wait();
     if (!result.ok())
       return std::printf("job %llu: %s\n",
                          static_cast<unsigned long long>(job.id()),
                          result.status().to_string().c_str()),
              1;
+    for (std::size_t v = 0; v < stimulus.size(); ++v)
+      if ((*result)[v] != netlist->evaluate(stimulus[v])) ++mismatches;
   }
+  if (mismatches != 0)
+    return std::printf("MISMATCH: %zu result vectors differ from "
+                       "Netlist::evaluate\n",
+                       mismatches),
+           1;
 
   // 4. How did the fleet schedule?  Affinity hits avoid reconfiguration;
   //    replications spread hot designs across devices.

@@ -8,6 +8,7 @@
 // reconfiguration (bitstream deltas) and batches same-design jobs to
 // amortize the swaps.
 #include <cstdio>
+#include <utility>
 #include <vector>
 
 #include "map/netlist.h"
@@ -19,8 +20,10 @@ int main() {
   using namespace pp;
 
   // 1. Compile two very different workloads.
-  auto adder = platform::compile(map::make_ripple_adder(4));
-  auto parity = platform::compile(map::make_parity(6));
+  const map::Netlist adder_nl = map::make_ripple_adder(4);
+  const map::Netlist parity_nl = map::make_parity(6);
+  auto adder = platform::compile(adder_nl);
+  auto parity = platform::compile(parity_nl);
   if (!adder.ok() || !parity.ok()) {
     std::printf("compile: %s\n", (!adder.ok() ? adder : parity)
                                      .status()
@@ -49,29 +52,40 @@ int main() {
       for (std::size_t i = 0; i < width; ++i) vec[i] = rng.next_bool();
     return v;
   };
-  std::vector<rt::Job> jobs;
+  struct Submitted {
+    rt::Job job;
+    const map::Netlist* netlist;
+    std::vector<platform::InputVector> stimulus;
+  };
+  std::vector<Submitted> jobs;
   for (int round = 0; round < 3; ++round) {
-    for (const char* name : {"adder4", "parity6"}) {
-      auto job = device->submit(
-          name, vectors(256, name[0] == 'a' ? 9 : 6));
+    for (const auto& [name, netlist] :
+         {std::pair{"adder4", &adder_nl}, {"parity6", &parity_nl}}) {
+      auto stimulus = vectors(256, netlist->inputs().size());
+      auto job = device->submit(name, stimulus);
       if (!job.ok())
         return std::printf("%s\n", job.status().to_string().c_str()), 1;
-      jobs.push_back(*job);
+      jobs.push_back({*job, netlist, std::move(stimulus)});
     }
   }
 
   // 4. Collect results (wait() blocks; try_result() would poll).  The
   //    first call takes the results; a later one reports them taken.
-  for (auto& job : jobs) {
+  //    Every result must equal the source netlist's own evaluation.
+  for (auto& [job, netlist, stimulus] : jobs) {
     auto result = job.wait();
     if (!result.ok())
       return std::printf("job %llu: %s\n",
                          static_cast<unsigned long long>(job.id()),
                          result.status().to_string().c_str()),
              1;
-    std::printf("job %llu (%s): %zu vectors evaluated\n",
+    std::size_t mismatches = 0;
+    for (std::size_t v = 0; v < stimulus.size(); ++v)
+      if ((*result)[v] != netlist->evaluate(stimulus[v])) ++mismatches;
+    std::printf("job %llu (%s): %zu vectors evaluated, %zu mismatches\n",
                 static_cast<unsigned long long>(job.id()),
-                job.design().c_str(), result->size());
+                job.design().c_str(), result->size(), mismatches);
+    if (mismatches != 0) return 1;
   }
 
   // 5. What did reconfiguration cost?  Deltas vs full bitstream rewrites.

@@ -48,6 +48,7 @@ int main() {
   for (int i = 0; i < 5; ++i) result |= static_cast<int>((*sum)[0][i]) << i;
   std::printf("alice: 11 + 6 = %d over the wire (session %llu)\n", result,
               static_cast<unsigned long long>(alice->session_id()));
+  int mismatches = result == 11 + 6 ? 0 : 1;
 
   // --- tenant "bob": same design name, own namespace, pipelined ------------
   auto bob = serve::Client::connect("127.0.0.1", server->port(), "bob");
@@ -77,7 +78,12 @@ int main() {
     for (int i = 0; i < 5; ++i) total |= static_cast<int>((*reply)[0][i]) << i;
     std::printf("bob:   %zu + 15 = %d (request %llu)\n", a, total,
                 static_cast<unsigned long long>(requests[a]));
+    if (total != static_cast<int>(a) + 15) ++mismatches;
   }
+  if (mismatches != 0)
+    return std::printf("MISMATCH: %d sums over the wire are wrong\n",
+                       mismatches),
+           1;
 
   auto stats = bob->stats();
   if (stats.ok())

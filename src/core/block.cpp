@@ -1,6 +1,8 @@
 #include "core/block.h"
 
-#include <sstream>
+#include <cstring>
+#include <string>
+#include <type_traits>
 
 namespace pp::core {
 
@@ -13,7 +15,13 @@ BlockConfig::BlockConfig() {
 
 BlockConfig BlockConfig::empty() { return BlockConfig{}; }
 
-bool BlockConfig::is_empty() const { return *this == BlockConfig{}; }
+bool BlockConfig::is_empty() const {
+  // Every field is one byte, so the bytes are the value: one memcmp instead
+  // of a field-by-field compare, which a whole-array scan feels.
+  static_assert(std::has_unique_object_representations_v<BlockConfig>);
+  static const BlockConfig kEmpty;
+  return std::memcmp(this, &kEmpty, sizeof kEmpty) == 0;
+}
 
 int BlockConfig::active_cells() const {
   int count = 0;
@@ -39,21 +47,24 @@ int BlockConfig::used_terms() const {
 }
 
 std::string BlockConfig::validate() const {
-  std::ostringstream err;
+  // Plain appends: a stream per call would cost more than the checks.
+  std::string err;
   for (int k = 0; k < kLfbLines; ++k) {
     if (lfb_src[k].which != LfbWhich::kOff &&
         lfb_src[k].row >= kBlockOutputs)
-      err << "lfb" << k << " selects nonexistent row "
-          << static_cast<int>(lfb_src[k].row) << "\n";
+      err += "lfb" + std::to_string(k) + " selects nonexistent row " +
+             std::to_string(lfb_src[k].row) + "\n";
   }
   for (int c = 0; c < kBlockInputs; ++c) {
     const ColSource s = col_src[c];
     if (s == ColSource::kLfb0 && lfb_src[0].which == LfbWhich::kOff)
-      err << "column " << c << " reads lfb0 which has no source\n";
+      err += "column " + std::to_string(c) +
+             " reads lfb0 which has no source\n";
     if (s == ColSource::kLfb1 && lfb_src[1].which == LfbWhich::kOff)
-      err << "column " << c << " reads lfb1 which has no source\n";
+      err += "column " + std::to_string(c) +
+             " reads lfb1 which has no source\n";
   }
-  return err.str();
+  return err;
 }
 
 bool block_row_value(const BlockConfig& cfg, int row,

@@ -54,15 +54,23 @@ struct LinePos {
 class Fabric;
 
 /// The result of elaborating a configured fabric: a simulatable circuit plus
-/// the net bookkeeping needed to drive and observe it.
+/// the net bookkeeping needed to drive and observe it.  Only what the
+/// configuration uses is in the circuit (DESIGN.md §5); the accessors still
+/// answer for every in-range coordinate, with a net that settles to what
+/// the unmade part would.
 class ElaboratedFabric {
  public:
   [[nodiscard]] const sim::Circuit& circuit() const noexcept { return circuit_; }
 
   /// Input line j of block (r,c); r in [0,rows], c in [0,cols] — the
-  /// out-of-range row/col index addresses the south/east boundary nets.
+  /// out-of-range row/col index addresses the south/east boundary nets.  A
+  /// line no made gate reads or drives answers one shared undriven net
+  /// (it floats, Z); the corner (rows, cols), which no block abuts, answers
+  /// kNoNet.
   [[nodiscard]] sim::NetId in_line(int r, int c, int j) const;
-  /// NAND row net i of block (r,c) (before the output driver).
+  /// NAND row net i of block (r,c) (before the output driver).  A row of an
+  /// unmade block (empty, and tapped by no lfb) answers the shared
+  /// constant-1 net, the value its unconfigured NAND term settles to.
   [[nodiscard]] sim::NetId row_net(int r, int c, int i) const;
   /// lfb net k of block (r,c); kNoNet if that lfb has no source.
   [[nodiscard]] sim::NetId lfb_net(int r, int c, int k) const;
@@ -79,10 +87,13 @@ class ElaboratedFabric {
   friend class Fabric;
   int rows_ = 0, cols_ = 0;
   sim::Circuit circuit_;
+  // kNoNet marks an unmade line or row (the accessors answer for it).
   std::vector<sim::NetId> in_lines_;   // (rows+1) x (cols+1) x 6
   std::vector<sim::NetId> row_nets_;   // rows x cols x 6
   std::vector<sim::NetId> lfb_nets_;   // rows x cols x 2
   std::vector<sim::NetId> primary_inputs_;
+  sim::NetId const1_ = sim::kNoNet;    // answers for an unmade row
+  sim::NetId floating_ = sim::kNoNet;  // answers for an unmade input line
 };
 
 class Fabric {
@@ -110,11 +121,15 @@ class Fabric {
 
   /// Static configuration checks across blocks: per input line at most one
   /// enabled abutting driver; block-local validity.  The error message
-  /// carries one diagnostic line per violation.
+  /// carries one diagnostic line per violation.  Only non-empty blocks can
+  /// violate either, so only they are visited.
   [[nodiscard]] Status check() const;
 
-  /// Build the simulatable circuit.  Fails with kInvalidArgument when the
-  /// configuration does not pass `check()`.
+  /// Build the simulatable circuit of what the configuration uses: the
+  /// west/north boundary lines, the rows and gates of every non-empty block,
+  /// the rows of every block an lfb taps, and the input lines those rows
+  /// read and drivers drive (DESIGN.md §5).  Fails with kInvalidArgument
+  /// when the configuration does not pass `check()`.
   [[nodiscard]] Result<ElaboratedFabric> try_elaborate(
       const FabricDelays& d = {}) const;
 
@@ -124,6 +139,8 @@ class Fabric {
 
  private:
   [[nodiscard]] int idx(int r, int c) const { return r * cols_ + c; }
+  /// Row-major indices of the non-empty blocks.
+  [[nodiscard]] std::vector<int> used_indices() const;
   int rows_, cols_;
   std::vector<BlockConfig> blocks_;
 };

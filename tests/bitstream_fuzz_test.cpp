@@ -12,6 +12,7 @@
 #include "core/fabric.h"
 #include "map/macros.h"
 #include "map/truth_table.h"
+#include "reference_check.h"
 #include "util/rng.h"
 
 namespace pp {
@@ -95,6 +96,50 @@ TEST(BitstreamFuzz, EverySingleByteCorruptionOfFabricStreamFailsCleanly) {
           << "flip at byte " << pos << " modified the fabric";
     }
   }
+}
+
+// A mutation that keeps the trailing CRC valid can decode into a hostile
+// configuration (a column reading an unsourced lfb, an lfb off the array
+// edge, abutment contention).  Whatever decodes must be judged by the
+// bounded Fabric::check exactly as the whole-array reference judges it,
+// and try_elaborate must reject exactly what the reference rejects.
+TEST(BitstreamFuzz, DecodedMutationsCheckLikeTheWholeArrayReference) {
+  const Fabric f = make_configured_fabric();
+  const Fabric other = make_other_fabric();
+  const auto bytes = core::encode_fabric(f);
+  const auto delta = core::encode_delta(other, f).value();
+  util::Rng rng(13);
+  int decoded = 0, accepted = 0;
+  const auto judge = [&](const Fabric& g) {
+    ++decoded;
+    if (core::check_test::expect_checks_like_reference(g)) ++accepted;
+  };
+  for (std::size_t pos = 0; pos + 4 < bytes.size(); ++pos) {
+    for (int bit = 0; bit < 9; ++bit) {
+      const auto mask = static_cast<std::uint8_t>(
+          bit < 8 ? 1u << bit : 1 + rng.next_below(255));
+      auto corrupt = bytes;
+      corrupt[pos] ^= mask;
+      fix_trailer_crc(corrupt);
+      Fabric g(f.rows(), f.cols());
+      if (core::try_load_fabric(g, corrupt).ok()) judge(g);
+    }
+  }
+  // The delta's frame images: each decoded mutation lands on `other`.
+  for (std::size_t pos = core::kDeltaHeaderBytes;
+       pos + core::kDeltaTrailerBytes < delta.size(); ++pos) {
+    for (int bit = 0; bit < 8; ++bit) {
+      auto corrupt = delta;
+      corrupt[pos] ^= static_cast<std::uint8_t>(1u << bit);
+      fix_trailer_crc(corrupt);
+      Fabric g = other;
+      if (core::try_apply_delta(g, corrupt).ok()) judge(g);
+    }
+  }
+  // Both verdicts are exercised.
+  EXPECT_GT(decoded, 100);
+  EXPECT_GT(accepted, 0);
+  EXPECT_LT(accepted, decoded);
 }
 
 // ---------- Delta stream ----------------------------------------------------

@@ -6,6 +6,7 @@
 #include "core/block.h"
 #include "core/config_ram.h"
 #include "core/fabric.h"
+#include "platform/session.h"
 #include "util/rng.h"
 
 namespace pp::core {
@@ -320,6 +321,118 @@ TEST(Fabric, PassDriverFasterThanRestoring) {
   s2.settle();
   EXPECT_LT(s2.last_change(e2.in_line(0, 1, 0)),
             s1.last_change(e1.in_line(0, 1, 0)));
+}
+
+// ---------- Elaborating only what the configuration uses -------------------
+
+/// A 4x5 array with three configured blocks and one lfb-tapped empty
+/// partner: an inverting hop (0,0) -> (0,1) on line 0, and block (2,2),
+/// whose column 1 reads lfb0, a tap of row 3 of its empty east partner
+/// (2,3), and whose row 2 drives east and south.
+Fabric sparse_fabric() {
+  Fabric f(4, 5);
+  for (int c = 0; c < 2; ++c) {
+    f.block(0, c).xpoint[0][0] = BiasLevel::kActive;
+    f.block(0, c).driver[0] = DriverCfg::kInvert;
+  }
+  BlockConfig& b = f.block(2, 2);
+  b.lfb_src[0] = {LfbWhich::kEast, 3};
+  b.col_src[1] = ColSource::kLfb0;
+  b.xpoint[2][1] = BiasLevel::kActive;
+  b.driver[2] = DriverCfg::kBuffer;
+  return f;
+}
+
+TEST(Fabric, ElaboratesOnlyWhatTheConfigurationUses) {
+  const auto ef = sparse_fabric().elaborate();
+  // 48 west/north boundary lines, the 3 interior lines a driver drives
+  // ((1,1,0), (2,3,2), (3,2,2)), 24 rows of the 4 made blocks (including
+  // the tapped empty partner), one lfb, const1 and the shared floating
+  // net.  Gates: const1, 24 rows, 3 drivers x 2 abutments, one lfb tap.
+  // A whole-array elaboration made 296 nets and 128 gates.
+  EXPECT_EQ(ef.circuit().net_count(), 78u);
+  EXPECT_EQ(ef.circuit().gate_count(), 32u);
+  EXPECT_EQ(ef.primary_inputs().size(), 48u);
+  // Every unmade row is the one constant-1 net; the tapped partner's rows
+  // and the configured blocks' rows are their own nets.
+  EXPECT_EQ(ef.row_net(1, 1, 0), ef.row_net(3, 4, 5));
+  EXPECT_NE(ef.row_net(2, 3, 3), ef.row_net(1, 1, 0));
+  EXPECT_NE(ef.row_net(2, 3, 0), ef.row_net(2, 3, 1));
+  // Every unmade line is the one floating net.
+  EXPECT_EQ(ef.in_line(2, 1, 4), ef.in_line(4, 0, 3));
+  EXPECT_NE(ef.in_line(1, 1, 0), ef.in_line(2, 1, 4));
+}
+
+TEST(Fabric, UnmadeRowsAndLinesAnswerWhatTheyWouldSettleTo) {
+  const auto ef = sparse_fabric().elaborate();
+  sim::Simulator s(ef.circuit());
+  s.set_input(ef.in_line(0, 0, 0), Logic::k1);
+  ASSERT_TRUE(s.settle());
+  EXPECT_EQ(s.value(ef.in_line(0, 2, 0)), Logic::k1);  // two inversions
+  EXPECT_EQ(s.value(ef.in_line(1, 1, 0)), Logic::k1);  // south copy
+  // An empty block's row settles to 1, made or not.
+  EXPECT_EQ(s.value(ef.row_net(1, 1, 0)), Logic::k1);
+  EXPECT_EQ(s.value(ef.row_net(3, 4, 5)), Logic::k1);
+  EXPECT_EQ(s.value(ef.row_net(2, 3, 3)), Logic::k1);
+  // The lfb taps that constant row, so row 2 of (2,2) is NAND(1) = 0.
+  EXPECT_EQ(s.value(ef.lfb_net(2, 2, 0)), Logic::k1);
+  EXPECT_EQ(s.value(ef.in_line(2, 3, 2)), Logic::k0);
+  EXPECT_EQ(s.value(ef.in_line(3, 2, 2)), Logic::k0);
+  // An untouched line floats: interior, south/east boundary, or an
+  // undriven input pad.
+  EXPECT_EQ(s.value(ef.in_line(2, 1, 4)), Logic::kZ);
+  EXPECT_EQ(s.value(ef.in_line(4, 0, 3)), Logic::kZ);
+  EXPECT_EQ(s.value(ef.in_line(1, 5, 5)), Logic::kZ);
+  EXPECT_EQ(s.value(ef.in_line(3, 0, 1)), Logic::kZ);
+  // Addressing is unchanged: the corner has no line, an lfb without a
+  // source has no net, and out-of-range coordinates still throw.
+  EXPECT_EQ(ef.in_line(4, 5, 0), sim::kNoNet);
+  EXPECT_EQ(ef.lfb_net(2, 2, 1), sim::kNoNet);
+  EXPECT_EQ(ef.lfb_net(1, 1, 0), sim::kNoNet);
+  EXPECT_THROW((void)ef.in_line(5, 0, 0), std::out_of_range);
+  EXPECT_THROW((void)ef.row_net(4, 0, 0), std::out_of_range);
+  EXPECT_THROW((void)ef.lfb_net(0, 5, 0), std::out_of_range);
+}
+
+TEST(Fabric, PortsOnUntouchedLinesAnswerAsWholeArrayElaboration) {
+  using platform::PortBinding;
+  using platform::RunOptions;
+  const std::vector<platform::InputVector> vectors = {{false}, {true}};
+  // An observer on an untouched interior line reads Z, so a batch that
+  // returns it fails as an X output.
+  {
+    auto s = platform::Session::from_fabric(
+        sparse_fabric(), {PortBinding{"a", {0, 0, 0}}},
+        {PortBinding{"y", {0, 2, 0}}, PortBinding{"stray", {2, 1, 4}}});
+    ASSERT_TRUE(s.ok()) << s.status().to_string();
+    EXPECT_EQ(s->peek("stray").value(), Logic::kZ);
+    ASSERT_TRUE(s->poke("a", true).ok());
+    ASSERT_TRUE(s->settle().ok());
+    EXPECT_EQ(s->peek("y").value(), Logic::k1);
+    EXPECT_EQ(s->peek("stray").value(), Logic::kZ);
+    for (const auto engine :
+         {platform::Engine::kCompiled, platform::Engine::kEventDriven})
+      EXPECT_EQ(s->run_vectors(vectors, RunOptions{.engine = engine})
+                    .status()
+                    .code(),
+                StatusCode::kInternal);
+  }
+  // An input bound to an untouched interior line is no primary input: the
+  // session loads, reads Z there, and no engine accepts the binding.
+  {
+    auto s = platform::Session::from_fabric(
+        sparse_fabric(), {PortBinding{"stray_in", {2, 1, 4}}},
+        {PortBinding{"y", {0, 2, 0}}});
+    ASSERT_TRUE(s.ok()) << s.status().to_string();
+    EXPECT_EQ(s->peek("stray_in").value(), Logic::kZ);
+    EXPECT_EQ(s->peek("y").value(), Logic::kX);  // its pad is undriven
+    for (const auto engine :
+         {platform::Engine::kCompiled, platform::Engine::kEventDriven})
+      EXPECT_EQ(s->run_vectors(vectors, RunOptions{.engine = engine})
+                    .status()
+                    .code(),
+                StatusCode::kInvalidArgument);
+  }
 }
 
 }  // namespace

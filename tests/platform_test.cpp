@@ -5,6 +5,7 @@
 #include <unistd.h>
 
 #include <filesystem>
+#include <optional>
 #include <span>
 #include <string>
 
@@ -129,6 +130,47 @@ TEST(Compiler, GoldenProgramSizes) {
                                                     regs, &design->levels);
     ASSERT_TRUE(engine.ok()) << engine.status().to_string();
     EXPECT_EQ(engine->instruction_count(), c.instructions);
+  }
+}
+
+TEST(Compiler, GoldenElaborationSizes) {
+  // Elaboration makes only what the configuration uses: the west/north
+  // boundary lines, the rows and gates of the used blocks, and the lines
+  // those read or drive.  So padding a design into a larger array (as a
+  // device or pool does) adds only the new boundary lines and no gate.
+  // adder8 is already 80x219.  A whole-array elaboration made 212,035 nets
+  // at 80x219 (parity8 105,649 gates, mux4 105,997, adder4 108,073,
+  // adder8 115,769) and 838,771 nets / 457,849 gates for adder16.
+  struct Size {
+    std::size_t nets, gates;
+  };
+  const struct {
+    const char* name;
+    map::Netlist netlist;
+    Size own;
+    std::optional<Size> padded;
+  } cases[] = {
+      {"parity8", map::make_parity(8), {2'044, 1'705}, Size{3'484, 1'705}},
+      {"mux4", map::make_mux4(), {2'488, 2'125}, Size{3'898, 2'125}},
+      {"adder4", map::make_ripple_adder(4), {8'678, 7'807}, Size{9'566, 7'807}},
+      {"adder8", map::make_ripple_adder(8), {28'506, 26'759}, std::nullopt},
+      {"adder16", map::make_ripple_adder(16), {103'626, 100'135}, std::nullopt},
+  };
+  const auto expect_size = [](const CompiledDesign& d, Size want) {
+    auto elab = d.fabric.try_elaborate(d.delays);
+    ASSERT_TRUE(elab.ok()) << elab.status().to_string();
+    EXPECT_EQ(elab->circuit().net_count(), want.nets);
+    EXPECT_EQ(elab->circuit().gate_count(), want.gates);
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    auto design = compile(c.netlist);
+    ASSERT_TRUE(design.ok()) << design.status().to_string();
+    expect_size(*design, c.own);
+    if (!c.padded) continue;
+    auto padded = pad_to(*design, 80, 219);
+    ASSERT_TRUE(padded.ok()) << padded.status().to_string();
+    expect_size(*padded, *c.padded);
   }
 }
 

@@ -7,6 +7,7 @@
 #include "map/macros.h"
 #include "map/router.h"
 #include "map/truth_table.h"
+#include "reference_check.h"
 #include "util/rng.h"
 
 namespace pp {
@@ -103,6 +104,125 @@ TEST_P(BlockRoundTripTest, EncodeDecodeIdentity) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BlockRoundTripTest, ::testing::Range(1, 33));
+
+// Bounded configuration check: on random sparse fabrics, valid and not
+// (lfb taps off the array edge, rows past the block, columns reading an
+// unsourced lfb, abutment contention), Fabric::check, which visits only the
+// used blocks, judges exactly as the whole-array reference does.  On the
+// fabrics it accepts, every row of an empty block settles to 1 and every
+// interior line that no driver drives floats, as in a whole-array
+// elaboration.
+TEST(FabricCheck, RandomFabricsCheckLikeTheWholeArrayReference) {
+  using core::BiasLevel;
+  using core::BlockConfig;
+  using core::ColSource;
+  using core::DriverCfg;
+  using core::LfbWhich;
+  int accepted = 0, rejected = 0, settled = 0;
+  for (std::uint64_t seed = 400; seed < 700; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    util::Rng rng(seed);
+    const int rows = 1 + static_cast<int>(rng.next_below(5));
+    const int cols = 1 + static_cast<int>(rng.next_below(6));
+    Fabric f(rows, cols);
+    for (int r = 0; r < rows; ++r) {
+      for (int c = 0; c < cols; ++c) {
+        if (rng.next_below(3) != 0) continue;  // most blocks stay empty
+        BlockConfig& b = f.block(r, c);
+        for (int i = 0; i < core::kBlockOutputs; ++i) {
+          for (int j = 0; j < core::kBlockInputs; ++j) {
+            const auto pick = rng.next_below(8);
+            b.xpoint[i][j] = pick == 0   ? BiasLevel::kActive
+                             : pick == 1 ? BiasLevel::kForce0
+                                         : BiasLevel::kForce1;
+          }
+          if (rng.next_below(5) == 0)
+            b.driver[i] = static_cast<DriverCfg>(1 + rng.next_below(3));
+        }
+        for (auto& sel : b.lfb_src)
+          if (rng.next_below(4) == 0)
+            sel = {static_cast<LfbWhich>(1 + rng.next_below(3)),
+                   static_cast<std::uint8_t>(rng.next_below(7))};
+        for (auto& src : b.col_src)
+          if (rng.next_below(8) == 0)
+            src = static_cast<ColSource>(1 + rng.next_below(2));
+      }
+    }
+    if (!core::check_test::expect_checks_like_reference(f)) {
+      ++rejected;
+      continue;
+    }
+    ++accepted;
+    const auto ef = f.elaborate();
+    sim::Simulator s(ef.circuit());
+    for (const sim::NetId pad : ef.primary_inputs())
+      s.set_input(pad, sim::from_bool(rng.next_bool()));
+    if (!s.settle(100'000)) continue;  // a random lfb loop may oscillate
+    ++settled;
+    const auto drives = [&](int r, int c, int j) {
+      return r >= 0 && r < rows && c >= 0 && c < cols &&
+             f.block(r, c).driver[j] != DriverCfg::kOff;
+    };
+    for (int r = 0; r < rows; ++r)
+      for (int c = 0; c < cols; ++c) {
+        if (!f.block(r, c).is_empty()) continue;
+        for (int i = 0; i < core::kBlockOutputs; ++i)
+          EXPECT_EQ(s.value(ef.row_net(r, c, i)), Logic::k1);
+      }
+    for (int r = 1; r <= rows; ++r)
+      for (int c = 1; c <= cols; ++c) {
+        if (r == rows && c == cols) continue;  // the corner has no line
+        for (int j = 0; j < core::kBlockInputs; ++j) {
+          if (drives(r, c - 1, j) || drives(r - 1, c, j)) continue;
+          EXPECT_EQ(s.value(ef.in_line(r, c, j)), Logic::kZ);
+        }
+      }
+  }
+  // Both verdicts are exercised, and most accepted fabrics settle.
+  EXPECT_GT(accepted, 30);
+  EXPECT_GT(rejected, 30);
+  EXPECT_GT(settled, accepted / 2);
+}
+
+// The hostile shapes the bounded check must still see: contention on a
+// line whose reader block is empty, lfb taps off each array edge, and lfb
+// taps of an empty partner (valid: the partner's rows are made).
+TEST(FabricCheck, HostileShapesCheckLikeTheWholeArrayReference) {
+  using core::DriverCfg;
+  using core::LfbWhich;
+  {
+    Fabric f(3, 3);  // (1,0) and (0,1) both drive line 4 of empty (1,1)
+    f.block(1, 0).driver[4] = DriverCfg::kBuffer;
+    f.block(0, 1).driver[4] = DriverCfg::kPass;
+    EXPECT_FALSE(core::check_test::expect_checks_like_reference(f));
+    EXPECT_EQ(f.check().message(),
+              "input line (1,1,4): driven by both west and north "
+              "neighbours\n");
+  }
+  {
+    Fabric f(2, 3);
+    f.block(0, 2).lfb_src[1] = {LfbWhich::kEast, 0};
+    f.block(1, 0).lfb_src[0] = {LfbWhich::kSouth, 5};
+    EXPECT_FALSE(core::check_test::expect_checks_like_reference(f));
+    EXPECT_EQ(f.check().message(),
+              "block(0,2): lfb1 taps east neighbour at array edge\n"
+              "block(1,0): lfb0 taps south neighbour at array edge\n");
+  }
+  {
+    Fabric f(2, 2);
+    f.block(0, 0).lfb_src[0] = {LfbWhich::kEast, 2};
+    f.block(0, 1).lfb_src[1] = {LfbWhich::kSouth, 4};
+    f.block(0, 1).col_src[3] = core::ColSource::kLfb1;
+    f.block(0, 1).xpoint[0][3] = core::BiasLevel::kActive;
+    EXPECT_TRUE(core::check_test::expect_checks_like_reference(f));
+    const auto ef = f.elaborate();
+    sim::Simulator s(ef.circuit());
+    ASSERT_TRUE(s.settle());
+    EXPECT_EQ(s.value(ef.lfb_net(0, 0, 0)), Logic::k1);
+    EXPECT_EQ(s.value(ef.lfb_net(0, 1, 1)), Logic::k1);
+    EXPECT_EQ(s.value(ef.row_net(0, 1, 0)), Logic::k0);  // NAND(lfb1 = 1)
+  }
+}
 
 // Routing property: any in-bounds south-east destination is reachable on an
 // empty fabric, and the routed value arrives with correct polarity.
